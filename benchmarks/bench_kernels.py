@@ -31,12 +31,20 @@ _KERNEL_NAMES = [
 
 @contextmanager
 def active_backend(impl):
-    """Temporarily rebind the specfun front end onto one kernel module."""
+    """Temporarily rebind the specfun front end onto one kernel module.
+
+    Names specfun only aliases are rebound; the ones it wraps (the large-x
+    branch of the incomplete gamma and E1) keep their wrapper, which
+    reaches the kernel module through ``specfun._impl``.
+    """
     saved = {name: getattr(specfun, name) for name in _KERNEL_NAMES}
     saved["BACKEND"] = specfun.BACKEND
+    saved["_impl"] = specfun._impl
     try:
         for name in _KERNEL_NAMES:
-            setattr(specfun, name, getattr(impl, name))
+            if getattr(specfun, name) is getattr(specfun._impl, name):
+                setattr(specfun, name, getattr(impl, name))
+        specfun._impl = impl
         specfun.BACKEND = impl.BACKEND
         yield
     finally:

@@ -19,7 +19,6 @@ from . import specfun
 from .distributions import (DISTRIBUTION_TAGS, Distribution, ParameterError,
                             convert_genf_to_orig, convert_gengamma_from_orig,
                             convert_gengamma_to_orig, make_distribution)
-from .fitting import CensoredSample, FitResult, censored_loglik, fit
 from .regression import (Covariate, CovariateSchema, DataError,
                          MissingColumnError, SurvivalModel, UnknownLevelError,
                          build_design_row, load_model, predict_residual_life,
@@ -42,3 +41,11 @@ __all__ = [
     "percentile_residual_life", "predict_residual_life", "residual_life_table",
     "save_model", "specfun",
 ]
+
+
+def __getattr__(name):
+    # fitting pulls in numpy and scipy.optimize; load it on first use only
+    if name in ("CensoredSample", "FitResult", "censored_loglik", "fit"):
+        from . import fitting
+        return getattr(fitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

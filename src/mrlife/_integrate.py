@@ -1,7 +1,8 @@
-"""Adaptive tail integration of survival curves.
+"""Adaptive tail integration of survival curves: the engine of
+``residual.mrl_quadrature_oracle``.
 
-Shared by the residual-life quadrature oracle and the distributions that
-have no closed-form residual life on part of their parameter space.
+No distribution uses it; every family's mean residual life is a closed
+form.  It is imported only when the oracle runs, since it pulls in scipy.
 """
 import math
 import warnings
@@ -47,16 +48,3 @@ def conditional_survival_integral(dist, x):
     converged = abserr <= 1e-9 * max(1.0, abs(value))
     return value, converged
 
-
-def partial_survival_integral(dist, x):
-    """int_0^x S(t) dt by adaptive quadrature (finite interval)."""
-    if x == 0.0:
-        return 0.0
-
-    def integrand(t):
-        return dist.survival(t)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-11, limit=300)
-    return value

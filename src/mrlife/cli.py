@@ -21,7 +21,6 @@ import sys
 import click
 
 from .distributions import DISTRIBUTION_TAGS, ParameterError, make_distribution
-from .fitting import CensoredSample, fit as fit_mle
 from .regression import DataError, load_model, predict_residual_life, save_model
 from .residual import (RESIDUAL_TYPES, ResidualLifeQuery, ResidualLifeTable,
                        residual_life_table)
@@ -259,6 +258,7 @@ def residlife(values, dist, params, p, rtype, fmt):
 @_format_option
 def fit(data_path, time_col, event_col, dist, covariates, out_path, fmt):
     """Fit a distribution to right-censored data by maximum likelihood."""
+    from .fitting import CensoredSample, fit as fit_mle  # numpy, scipy: fit only
     if dist not in DISTRIBUTION_TAGS:
         raise click.UsageError(
             f"unknown distribution '{dist}'; choose one of {', '.join(DISTRIBUTION_TAGS)}")

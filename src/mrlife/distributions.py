@@ -16,18 +16,18 @@ package and the CLI::
 
 Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 ``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  The mean
-residual life ``mrl(x)`` is evaluated in closed form through the
-special-function kernels, in log space wherever the survival ratios can
-overflow; when the survival probability at ``x`` underflows to zero the
-result is NaN (the same degenerate rows a double-precision reference
-produces).  Distribution objects are immutable after construction and
-all methods are pure, so instances are safe to share across threads.
+residual life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log
+space; beyond three one-liners, T is a power of a gamma or a beta-prime
+variable and one of the two helpers below gives it.  When the survival
+probability at ``x`` underflows to zero the result is NaN (the same
+degenerate rows a double-precision reference produces).  Distribution
+objects are immutable after construction and all methods are pure, so
+instances are safe to share across threads.
 """
 import math
 from typing import NamedTuple
 
 from . import specfun as sf
-from ._integrate import conditional_survival_integral
 
 _INF = float("inf")
 _NAN = float("nan")
@@ -67,6 +67,35 @@ def _softplus(y):
     if y > 0.0:
         return y + math.log1p(_exp(-y))
     return math.log1p(_exp(y))
+
+
+def _gamma_type_mrl(x, ln_scale, k, b, z):
+    """E[T; T > x]/S(x) - x for T = scale * G**(1/b), G ~ Gamma(k), z = (x/scale)**b.
+
+    For b > 0, T > x is G > z: E[T; T > x] = scale * Gamma(z, k + 1/b)/Gamma(k)
+    and S(x) = Gamma(z, k)/Gamma(k).  For b < 0 it is G < z and the lower
+    incomplete gamma replaces the upper one; T has no mean once k + 1/b <= 0.
+    """
+    g = k + 1.0 / b
+    if b > 0.0:
+        ln_tail, ln_sx = sf.ln_upper_inc_gamma(z, g), sf.ln_upper_inc_gamma(z, k)
+    elif g > 0.0:
+        ln_tail, ln_sx = sf.ln_lower_inc_gamma(z, g), sf.ln_lower_inc_gamma(z, k)
+    else:
+        return _NAN
+    return _exp(ln_scale + ln_tail - ln_sx) - x
+
+
+def _beta_prime_type_mrl(x, ln_mean, s1, s2, sigma, v):
+    """E[T; T > x]/S(x) - x for T = m * u**sigma, u ~ beta-prime(s1, s2), v = 1/(1 + u(x)).
+
+    1/(1 + u) ~ Beta(s2, s1), so S(x) = I_v(s2, s1) and
+    E[T; T > x] = mean * I_v(s2 - sigma, s1 + sigma); no mean once s2 <= sigma.
+    """
+    if s2 <= sigma:
+        return _NAN
+    return _exp(ln_mean + sf.ln_reg_inc_beta(v, s2 - sigma, s1 + sigma)
+                - sf.ln_reg_inc_beta(v, s2, s1)) - x
 
 
 class Distribution:
@@ -144,22 +173,30 @@ class Distribution:
 
     def _isf_from_ln(self, ln_target):
         # Bracketing bisection on ln(t): ln_survival is monotone decreasing.
+        # A NaN survival on the way gives NaN, not a root made up from the pivot.
         lo = hi = self._pivot()
-        while self.ln_survival(hi) > ln_target:
+        while (ln_s := self.ln_survival(hi)) > ln_target:
             hi *= 8.0
             if hi > 1e300:
                 return _INF
-        while self.ln_survival(lo) <= ln_target:
+        if ln_s != ln_s:
+            return _NAN
+        while (ln_s := self.ln_survival(lo)) <= ln_target:
             lo /= 8.0
             if lo < 1e-300:
                 return 0.0
+        if ln_s != ln_s:
+            return _NAN
         ln_lo, ln_hi = math.log(lo), math.log(hi)
         for _ in range(200):
             ln_mid = 0.5 * (ln_lo + ln_hi)
-            if self.ln_survival(math.exp(ln_mid)) > ln_target:
+            ln_s = self.ln_survival(math.exp(ln_mid))
+            if ln_s > ln_target:
                 ln_lo = ln_mid
-            else:
+            elif ln_s <= ln_target:
                 ln_hi = ln_mid
+            else:
+                return _NAN
             if ln_hi - ln_lo < 4e-16 * max(1.0, abs(ln_hi)):
                 break
         return math.exp(0.5 * (ln_lo + ln_hi))
@@ -167,12 +204,15 @@ class Distribution:
     # -- moments and residual life ----------------------------------------
 
     def mean(self):
-        raise NotImplementedError
+        """E[T], the mean residual life at 0; NaN where T has no mean."""
+        return self._mrl(0.0)
 
     def mrl(self, x):
-        """Mean residual life at x >= 0; NaN once survival(x) underflows."""
+        """Mean residual life at x >= 0; mean() at 0, NaN once survival(x) underflows."""
         if x < 0.0 or x != x:
             raise ValueError("x must be nonnegative")
+        if x == 0.0:
+            return self.mean()
         if self.survival(x) <= 0.0:
             return _NAN
         return self._mrl(x)
@@ -199,20 +239,8 @@ class Exponential(Distribution):
     def ln_survival(self, t):
         return -self.rate * t
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or p != p:
-            raise ValueError("p must lie in [0, 1]")
-        if p == 1.0:
-            return _INF
-        return -math.log1p(-p) / self.rate
-
-    def isf(self, s):
-        if not 0.0 <= s <= 1.0 or s != s:
-            raise ValueError("s must lie in [0, 1]")
-        return -_log(s) / self.rate
-
-    def mean(self):
-        return 1.0 / self.rate
+    def _isf_from_ln(self, ln_s):
+        return -ln_s / self.rate
 
     def _mrl(self, x):
         return 1.0 / self.rate
@@ -242,28 +270,12 @@ class Weibull(Distribution):
     def ln_survival(self, t):
         return -self._cum_hazard(t)
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or p != p:
-            raise ValueError("p must lie in [0, 1]")
-        if p == 1.0:
-            return _INF
-        return self.scale * (-math.log1p(-p)) ** (1.0 / self.shape)
-
-    def isf(self, s):
-        if not 0.0 <= s <= 1.0 or s != s:
-            raise ValueError("s must lie in [0, 1]")
-        if s == 0.0:
-            return _INF
-        return self.scale * (-_log(s)) ** (1.0 / self.shape)
-
-    def mean(self):
-        return _exp(math.log(self.scale) + sf.ln_gamma(1.0 + 1.0 / self.shape))
+    def _isf_from_ln(self, ln_s):
+        return self.scale * (-ln_s) ** (1.0 / self.shape)
 
     def _mrl(self, x):
-        # (scale/shape) * Gamma((x/scale)^shape, 1/shape) * exp((x/scale)^shape)
-        z = self._cum_hazard(x)
-        return _exp(math.log(self.scale / self.shape)
-                    + sf.ln_upper_inc_gamma(z, 1.0 / self.shape) + z)
+        return _gamma_type_mrl(x, math.log(self.scale), 1.0, self.shape,
+                               self._cum_hazard(x))
 
 
 class Gamma(Distribution):
@@ -293,11 +305,7 @@ class Gamma(Distribution):
         return self.shape / self.rate
 
     def _mrl(self, x):
-        # Gamma(rate*x, shape+1) / (rate * Gamma(rate*x, shape)) - x
-        z = self.rate * x
-        return _exp(sf.ln_upper_inc_gamma(z, self.shape + 1.0)
-                    - sf.ln_upper_inc_gamma(z, self.shape)
-                    - math.log(self.rate)) - x
+        return _gamma_type_mrl(x, -math.log(self.rate), self.shape, 1.0, self.rate * x)
 
 
 class Gompertz(Distribution):
@@ -325,21 +333,7 @@ class Gompertz(Distribution):
         growth = math.expm1(arg) if arg < 709.0 else _INF
         return -(self.rate / self.shape) * growth
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or p != p:
-            raise ValueError("p must lie in [0, 1]")
-        if p == 1.0:
-            return _INF
-        return self._isf_closed(math.log1p(-p))
-
-    def isf(self, s):
-        if not 0.0 <= s <= 1.0 or s != s:
-            raise ValueError("s must lie in [0, 1]")
-        if s == 0.0:
-            return _INF
-        return self._isf_closed(_log(s))
-
-    def _isf_closed(self, ln_s):
+    def _isf_from_ln(self, ln_s):
         if self.shape == 0.0:
             return -ln_s / self.rate
         arg = 1.0 - (self.shape / self.rate) * ln_s
@@ -348,17 +342,10 @@ class Gompertz(Distribution):
             return _INF
         return math.log(arg) / self.shape
 
-    def mean(self):
-        if self.shape < 0.0:
-            return _NAN  # P(T = inf) > 0: no finite mean
-        if self.shape == 0.0:
-            return 1.0 / self.rate
-        return sf.exp_integral_e1_scaled(self.rate / self.shape) / self.shape
-
     def _mrl(self, x):
         # exp(z) * E1(z) / shape with z = (rate/shape) * exp(shape*x)
         if self.shape < 0.0:
-            return _NAN
+            return _NAN  # P(T = inf) > 0: no finite mean
         if self.shape == 0.0:
             return 1.0 / self.rate
         z = (self.rate / self.shape) * _exp(self.shape * x)
@@ -408,8 +395,6 @@ class LogNormal(Distribution):
         return _exp(self.meanlog + 0.5 * self.sdlog * self.sdlog)
 
     def _mrl(self, x):
-        if x == 0.0:
-            return self.mean()
         shifted = (math.log(x) - (self.meanlog + self.sdlog * self.sdlog)) / self.sdlog
         return _exp(self.meanlog + 0.5 * self.sdlog * self.sdlog
                     + sf.ln_std_normal_sf(shifted)
@@ -454,26 +439,13 @@ class LogLogistic(Distribution):
             return _INF
         return _exp(math.log(self.scale) + (math.log1p(-s) - _log(s)) / self.shape)
 
-    def _ln_moment_factor(self):
-        return (math.log(self.scale) + sf.ln_gamma(1.0 + 1.0 / self.shape)
-                + sf.ln_gamma(1.0 - 1.0 / self.shape))
-
-    def mean(self):
-        if self.shape <= 1.0:
-            return _NAN
-        return _exp(self._ln_moment_factor())
-
     def _mrl(self, x):
-        # scale*G(1+1/a)*G(1-1/a) * [1 - I_z(1+1/a, 1-1/a)] / S(x) - x, with the
-        # bracket evaluated through its complement I_{S(x)}(1-1/a, 1+1/a).
-        if self.shape <= 1.0:
-            return _NAN
-        if x == 0.0:
-            return self.mean()
+        # u = (x/scale)^shape ~ beta-prime(1, 1), 1/(1 + u) = S(x) and
+        # mean = scale * Gamma(1 + 1/shape) * Gamma(1 - 1/shape)
         inv = 1.0 / self.shape
-        ln_sx = self.ln_survival(x)
-        ln_tail = sf.ln_reg_inc_beta(self.survival(x), 1.0 - inv, 1.0 + inv)
-        return _exp(self._ln_moment_factor() + ln_tail - ln_sx) - x
+        ln_mean = (math.log(self.scale) + sf.ln_gamma(1.0 + inv)
+                   + sf.ln_gamma(1.0 - inv))
+        return _beta_prime_type_mrl(x, ln_mean, 1.0, 1.0, inv, self.survival(x))
 
 
 class GenGammaOrig(Distribution):
@@ -504,27 +476,19 @@ class GenGammaOrig(Distribution):
     def _pivot(self):
         return self.scale
 
-    def mean(self):
-        return _exp(math.log(self.scale) + sf.ln_gamma(self.k + 1.0 / self.shape)
-                    - sf.ln_gamma(self.k))
-
     def _mrl(self, x):
-        # scale * Gamma((x/scale)^shape, k + 1/shape) / Gamma((x/scale)^shape, k) - x
-        z = self._z(x)
-        return _exp(math.log(self.scale)
-                    + sf.ln_upper_inc_gamma(z, self.k + 1.0 / self.shape)
-                    - sf.ln_upper_inc_gamma(z, self.k)) - x
+        return _gamma_type_mrl(x, math.log(self.scale), self.k, self.shape, self._z(x))
 
 
 class GenGamma(Distribution):
     """Log-location generalized gamma (mu, sigma, Q), Q != 0.
 
-    For Q > 0 the family coincides with ``gengamma.orig`` under the
-    parameter map shape=Q/sigma, scale=exp(mu - log(Q^-2)*sigma/Q),
-    k=Q^-2, and the residual-life closed form is evaluated through that
-    representation.  For Q < 0 there is no such map; the mean is still
-    available in closed form but mrl(x > 0) falls back to adaptive
-    quadrature of the survival curve.
+    T = scale * G**(Q/sigma) with G ~ Gamma(k), k = Q^-2 and
+    scale = exp(mu) * (Q^2)^(sigma/Q) (Cox et al. 2007; flexsurv).  For
+    Q > 0 this is ``gengamma.orig`` with shape=Q/sigma; for Q < 0 the power
+    is negative, so survival and the residual-life partial moment take the
+    lower incomplete gamma.  Everything is evaluated in log space from
+    (mu, sigma, Q), so no intermediate scale underflows for small |Q|.
     """
 
     tag = "gengamma"
@@ -535,10 +499,7 @@ class GenGamma(Distribution):
         self.sigma = sigma
         self.q = q
         self._k = q ** -2
-        self._orig = None
-        if q > 0.0:
-            shape, scale, k = convert_gengamma_to_orig(mu, sigma, q)
-            self._orig = GenGammaOrig(shape, scale, k)
+        self._ln_scale = mu + 2.0 * (sigma / q) * math.log(abs(q))
 
     def _z(self, t):
         w = (_log(t) - self.mu) / self.sigma
@@ -571,28 +532,22 @@ class GenGamma(Distribution):
         return _exp(self.mu)
 
     def mean(self):
-        # exp(mu) * (Q^2)^(sigma/Q) * Gamma(k + sigma/Q) / Gamma(k)
+        # scale * Gamma(k + sigma/Q) / Gamma(k)
         g = self._k + self.sigma / self.q
         if g <= 0.0:
             return _NAN
-        return _exp(self.mu + 2.0 * (self.sigma / self.q) * math.log(abs(self.q))
-                    + sf.ln_gamma(g) - sf.ln_gamma(self._k))
+        return _exp(self._ln_scale + sf.ln_gamma(g) - sf.ln_gamma(self._k))
 
     def _mrl(self, x):
-        if self._orig is not None:
-            return self._orig._mrl(x)
-        if x == 0.0:
-            return self.mean()
-        value, converged = conditional_survival_integral(self, x)
-        return value if converged else _NAN
+        return _gamma_type_mrl(x, self._ln_scale, self._k, self.q / self.sigma, self._z(x))
 
 
 class GenFOrig(Distribution):
     """Four-parameter generalized F (mu, sigma, s1, s2).
 
-    The residual-life closed form runs through the Gauss 2F1 kernel and
-    is undefined (NaN) whenever s2 <= sigma, where the distribution has
-    no mean.
+    T = exp(mu) * (s2/s1 * u)**sigma with u ~ beta-prime(s1, s2), so the
+    residual life is an incomplete-beta ratio; it is undefined (NaN)
+    whenever s2 <= sigma, where the distribution has no mean.
     """
 
     tag = "genf.orig"
@@ -633,37 +588,13 @@ class GenFOrig(Distribution):
     def _pivot(self):
         return _exp(self.mu)
 
-    def mean(self):
-        # exp(mu) * (s2/s1)^sigma * B(s1+sigma, s2-sigma) / B(s1, s2)
-        if self.s2 <= self.sigma:
-            return _NAN
-        return _exp(self.mu + self.sigma * math.log(self.s2 / self.s1)
-                    + sf.ln_beta(self.s1 + self.sigma, self.s2 - self.sigma)
-                    - sf.ln_beta(self.s1, self.s2))
-
-    def _ln_2f1_term(self, ln_c):
-        # ln 2F1(s1+s2, s2-sigma; s2-sigma+1; -1/C).  Once the capped series
-        # declines (C very small), use the exact c = b+1 reduction to the
-        # incomplete beta: 2F1 = b*C^b*B(b, s1+sigma)*I_{1/(1+C)}(b, s1+sigma).
-        b = self.s2 - self.sigma
-        c_val = _exp(ln_c)
-        z = -_exp(-ln_c)
-        value = sf.ln_gauss_2f1(self.s1 + self.s2, b, b + 1.0, z)
-        if value == value:
-            return value
-        return (math.log(b) + b * ln_c + sf.ln_beta(b, self.s1 + self.sigma)
-                + sf.ln_reg_inc_beta(1.0 / (1.0 + c_val), b, self.s1 + self.sigma))
-
     def _mrl(self, x):
-        if self.s2 <= self.sigma:
-            return _NAN
-        if x == 0.0:
-            return self.mean()
-        ln_c = self._ln_u(x)
-        ln_num = ((self.sigma - self.s2) * ln_c - math.log(self.s2 - self.sigma)
-                  + self._ln_2f1_term(ln_c) - sf.ln_beta(self.s1, self.s2))
-        return _exp(self.mu + self.sigma * math.log(self.s2 / self.s1)
-                    + ln_num - self.ln_survival(x)) - x
+        # mean = exp(mu) * (s2/s1)^sigma * B(s1+sigma, s2-sigma) / B(s1, s2)
+        ln_mean = (self.mu + self.sigma * math.log(self.s2 / self.s1)
+                   + sf.ln_beta(self.s1 + self.sigma, self.s2 - self.sigma)
+                   - sf.ln_beta(self.s1, self.s2))
+        return _beta_prime_type_mrl(x, ln_mean, self.s1, self.s2, self.sigma,
+                                    self._upper_beta_arg(x))
 
 
 class GenF(Distribution):
@@ -698,9 +629,6 @@ class GenF(Distribution):
 
     def _pivot(self):
         return _exp(self.mu)
-
-    def mean(self):
-        return self._orig.mean()
 
     def _mrl(self, x):
         return self._orig._mrl(x)

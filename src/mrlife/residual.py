@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ._integrate import conditional_survival_integral
 from .distributions import Distribution
 
 _INF = float("inf")
@@ -68,18 +67,21 @@ def percentile_residual_life(dist: Distribution, x, alpha) -> float:
 
     Solves F(x + q) = 1 - (1-alpha) S(x) on the survival scale, so the
     answer stays finite as long as (1-alpha) S(x) is representable; once
-    that mass underflows the result is +inf.
+    that mass underflows the result is +inf.  A survival the kernels
+    cannot resolve (NaN) gives NaN.
     """
     if x < 0.0 or x != x:
         raise ValueError("x must be nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be strictly between 0 and 1")
     upper = (1.0 - alpha) * dist.survival(x)
+    if upper != upper:
+        return _NAN
     if upper <= 0.0:
         return _INF
     t = dist.isf(upper)
-    if t == _INF:
-        return _INF
+    if t == _INF or t != t:
+        return t
     return max(t - x, 0.0)
 
 
@@ -111,6 +113,8 @@ def mrl_quadrature_oracle(dist: Distribution, x, return_diagnostic=False):
     against.  Requires survival(x) > 0; a non-convergent integral yields
     NaN (with converged=False when return_diagnostic is set).
     """
+    from ._integrate import conditional_survival_integral  # scipy, oracle only
+
     if x < 0.0 or x != x:
         raise ValueError("x must be nonnegative")
     if dist.survival(x) <= 0.0:

@@ -2,9 +2,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -166,6 +171,59 @@ class TestResidlife:
         res = run(["residlife", "--values", "1", *WEIBULL_ARGS],
                   env={"MRLIFE_FORMAT": "json"})
         json.loads(res.output)
+
+    @pytest.mark.parametrize("q", [-0.003, 0.003])
+    def test_gengamma_near_lognormal_prints_no_unresolved_cell(self, q):
+        # k = Q^-2 ~ 1.1e5: the incomplete-gamma kernels do not converge for
+        # z near k, around t ~ e here.  Both commands must exit 0, and every
+        # printed cell must be NaN or right: no root made up from the
+        # bisection's pivot (once 2.218282 at x = 0.5 for Q < 0).
+        from mrlife import make_distribution
+        args = ["residlife", "--values", "0.5,2", "--dist", "gengamma",
+                "--params", f"mu=1,sigma=0.5,Q={q}", "--type", "all"]
+        res = run(args)
+        assert res.exit_code == 0, res.output
+        assert "2.218282" not in res.output
+        doc = json.loads(run(args + ["--format", "json"]).output)
+        d = make_distribution("gengamma", {"mu": 1.0, "sigma": 0.5, "Q": q})
+        for i, x in enumerate(doc["values"]):
+            mean = doc["columns"]["mean"][i]
+            if math.isfinite(mean):
+                assert mean == pytest.approx(_gengamma_mrl_mpmath(1.0, 0.5, q, x),
+                                             rel=1e-6)
+            for name in ("median", "percentile"):
+                v = doc["columns"][name][i]
+                if math.isfinite(v):
+                    assert d.ln_survival(x + v) == pytest.approx(
+                        math.log(0.5) + d.ln_survival(x), rel=1e-8)
+
+
+def _gengamma_mrl_mpmath(mu, sigma, q, x):
+    """E[T; T > x]/S(x) - x for gengamma at 50 digits."""
+    with mpmath.workdps(50):
+        mu, sigma, q, x = (mpmath.mpf(v) for v in (mu, sigma, q, x))
+        k = 1 / q ** 2
+        g = k + sigma / q
+        scale = mpmath.exp(mu + 2 * (sigma / q) * mpmath.log(abs(q)))
+        z = k * mpmath.exp(q * (mpmath.log(x) - mu) / sigma)
+        if q > 0:
+            ratio = mpmath.gammainc(g, z) / mpmath.gammainc(k, z)
+        else:
+            ratio = mpmath.gammainc(g, 0, z) / mpmath.gammainc(k, 0, z)
+        return float(scale * ratio - x)
+
+
+def test_cli_import_leaves_out_scipy_and_numpy():
+    # residlife, predict and curve need neither; fit imports them itself
+    import mrlife
+    src = str(Path(mrlife.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, mrlife.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture

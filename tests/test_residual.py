@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mrlife import (ResidualLifeQuery, make_distribution, mean_residual_life,
-                    median_residual_life, mrl_quadrature_oracle,
+from mrlife import (Distribution, ResidualLifeQuery, make_distribution,
+                    mean_residual_life, median_residual_life, mrl_quadrature_oracle,
                     percentile_residual_life, residual_life_table)
-from mrlife._integrate import partial_survival_integral
 
-from conftest import sample_distribution
+from conftest import sample_distribution, survival_integral
 
 
 class TestMeanResidualLife:
@@ -60,6 +59,23 @@ class TestPercentileResidualLife:
     def test_underflowed_survival_gives_inf(self):
         d = make_distribution("weibull", {"shape": 2.9, "scale": 2.2})
         assert percentile_residual_life(d, 22.0, 0.7) == math.inf
+
+    def test_unresolved_survival_gives_nan(self):
+        # ln S is NaN beyond t = 20, as where a kernel does not converge: a
+        # search that meets it, or a NaN S(x), must come back NaN, not a
+        # made-up root near the bisection's pivot
+        class NaNBeyondTwenty(Distribution):
+            def ln_survival(self, t):
+                return -t if t <= 20.0 else math.nan
+
+            def survival(self, t):
+                return math.exp(self.ln_survival(t))
+
+        d = NaNBeyondTwenty()
+        assert d.isf(math.exp(-1.5)) == pytest.approx(1.5, rel=1e-12)
+        assert math.isnan(d.isf(math.exp(-30.0)))
+        assert math.isnan(percentile_residual_life(d, 10.0, 1.0 - 1e-6))
+        assert math.isnan(percentile_residual_life(d, 30.0, 0.5))
 
     def test_validation(self):
         d = make_distribution("exponential", {"rate": 1.0})
@@ -126,6 +142,21 @@ class TestResidualLifeTable:
                 assert med == math.inf and pct == math.inf
 
 
+    def test_deep_tail_gengamma_underflow_pattern(self):
+        # 400x the 98% quantile puts z near 7e16, where the incomplete-gamma
+        # continued fraction stalls; S must be 0 there, not NaN
+        d = make_distribution("gengamma", {"mu": 0.4357432199138789,
+                                           "sigma": 0.3090211757766392,
+                                           "Q": 1.9641699981910046})
+        x = 400.0 * d.quantile(0.98)
+        table = residual_life_table(
+            d, ResidualLifeQuery(values=[x], p=0.7, type="all"))
+        assert d.survival(x) == 0.0
+        assert math.isnan(table.columns["mean"][0])
+        assert table.columns["median"] == [math.inf]
+        assert table.columns["percentile"] == [math.inf]
+
+
 class TestQuadratureOracle:
     def test_exponential_exact(self):
         d = make_distribution("exponential", {"rate": 2.0})
@@ -175,5 +206,5 @@ class TestQuadratureOracle:
             if math.isnan(mean):
                 continue
             x = d.quantile(0.55)
-            alt = (mean - partial_survival_integral(d, x)) / d.survival(x)
+            alt = (mean - survival_integral(d, x)) / d.survival(x)
             assert d.mrl(x) == pytest.approx(alt, rel=1e-6)
