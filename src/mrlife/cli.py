@@ -293,7 +293,8 @@ def fit(data_path, time_col, event_col, dist, covariates, out_path, fmt):
         click.echo(render_fit_json(result))
 
 
-def _predict_table(model_path, life, p, rtype, newdata_path):
+def _load_predict_inputs(model_path, newdata_path):
+    """The model and the newdata rows (None: the model's training rows)."""
     try:
         model = load_model(model_path)
     except (OSError, json.JSONDecodeError, DataError, KeyError) as exc:
@@ -301,6 +302,10 @@ def _predict_table(model_path, life, p, rtype, newdata_path):
     rows = None
     if newdata_path:
         rows = _rows_of(read_data_csv(newdata_path))
+    return model, rows
+
+
+def _predict_table(model, rows, life, p, rtype):
     try:
         return predict_residual_life(model, life, p=p, type=rtype, newdata=rows)
     except (DataError, ParameterError) as exc:
@@ -324,7 +329,8 @@ def predict(model_path, life, p, rtype, newdata_path, fmt):
     """Per-observation residual-life predictions from a fitted model."""
     if not life > 0.0:
         raise click.UsageError("--life must be positive")
-    table = _predict_table(model_path, life, p, rtype, newdata_path)
+    model, rows = _load_predict_inputs(model_path, newdata_path)
+    table = _predict_table(model, rows, life, p, rtype)
     emit_table(table, fmt or "table", "predict")
 
 
@@ -358,8 +364,9 @@ def curve(model_path, newdata_path, dist, params, life_range, p, rtype,
 
     columns = {}
     if model_path is not None:
+        model, rows = _load_predict_inputs(model_path, newdata_path)
         for life in lives:
-            table = _predict_table(model_path, life, p, rtype, newdata_path)
+            table = _predict_table(model, rows, life, p, rtype)
             if len(table) == 0:
                 raise click.ClickException("model yielded no prediction rows")
             for name in table.column_names:

@@ -173,19 +173,25 @@ class Distribution:
 
     def _isf_from_ln(self, ln_target):
         # Bracketing bisection on ln(t): ln_survival is monotone decreasing.
-        # A NaN survival on the way gives NaN, not a root made up from the pivot.
+        # A bracket end in a NaN band moves back to a finite point past the
+        # target; a NaN survival that leaves none gives NaN, not a root made
+        # up from the pivot.
         lo = hi = self._pivot()
         while (ln_s := self.ln_survival(hi)) > ln_target:
             hi *= 8.0
             if hi > 1e300:
                 return _INF
         if ln_s != ln_s:
-            return _NAN
+            if hi == lo:
+                return _NAN
+            hi = self._finite_crossing(hi / 8.0, hi, ln_target, True)
         while (ln_s := self.ln_survival(lo)) <= ln_target:
             lo /= 8.0
             if lo < 1e-300:
                 return 0.0
         if ln_s != ln_s:
+            lo = self._finite_crossing(lo * 8.0, lo, ln_target, False)
+        if lo != lo or hi != hi:
             return _NAN
         ln_lo, ln_hi = math.log(lo), math.log(hi)
         for _ in range(200):
@@ -200,6 +206,25 @@ class Distribution:
             if ln_hi - ln_lo < 4e-16 * max(1.0, abs(ln_hi)):
                 break
         return math.exp(0.5 * (ln_lo + ln_hi))
+
+    def _finite_crossing(self, t_finite, t_nan, ln_target, above):
+        """A t between t_finite and t_nan with a finite ln_survival on the far
+        side of ln_target (at or below it when t_finite's is ``above``),
+        by bisection on ln t; NaN when the NaN band starts before any."""
+        ln_a, ln_b = math.log(t_finite), math.log(t_nan)
+        for _ in range(200):
+            ln_mid = 0.5 * (ln_a + ln_b)
+            t = math.exp(ln_mid)
+            ln_s = self.ln_survival(t)
+            if ln_s != ln_s:
+                ln_b = ln_mid
+            elif (ln_s > ln_target) == above:
+                ln_a = ln_mid
+            else:
+                return t
+            if abs(ln_b - ln_a) < 4e-16 * max(1.0, abs(ln_a), abs(ln_b)):
+                break
+        return _NAN
 
     # -- moments and residual life ----------------------------------------
 
@@ -287,16 +312,18 @@ class Gamma(Distribution):
     def __init__(self, shape, rate):
         self.shape = shape
         self.rate = rate
+        self._shape_ln_rate = shape * math.log(rate)
+        self._ln_gamma_shape = sf.ln_gamma(shape)
 
     def ln_pdf(self, t):
-        return (self.shape * math.log(self.rate) + (self.shape - 1.0) * _log(t)
-                - self.rate * t - sf.ln_gamma(self.shape))
+        return (self._shape_ln_rate + (self.shape - 1.0) * _log(t)
+                - self.rate * t - self._ln_gamma_shape)
 
     def survival(self, t):
         return sf.reg_upper_gamma(self.rate * t, self.shape)
 
     def ln_survival(self, t):
-        return sf.ln_upper_inc_gamma(self.rate * t, self.shape) - sf.ln_gamma(self.shape)
+        return sf.ln_upper_inc_gamma(self.rate * t, self.shape) - self._ln_gamma_shape
 
     def mean(self):
         return self.shape / self.rate
@@ -317,11 +344,12 @@ class Gompertz(Distribution):
     def __init__(self, shape, rate):
         self.shape = shape
         self.rate = rate
+        self._ln_rate = math.log(rate)
 
     def ln_pdf(self, t):
         if self.shape == 0.0:
-            return math.log(self.rate) - self.rate * t
-        return math.log(self.rate) + self.shape * t + self.ln_survival(t)
+            return self._ln_rate - self.rate * t
+        return self._ln_rate + self.shape * t + self.ln_survival(t)
 
     def survival(self, t):
         return _exp(self.ln_survival(t))
@@ -361,6 +389,7 @@ class LogNormal(Distribution):
     def __init__(self, meanlog, sdlog):
         self.meanlog = meanlog
         self.sdlog = sdlog
+        self._ln_sdlog = math.log(sdlog)
 
     def _w(self, t):
         return (_log(t) - self.meanlog) / self.sdlog
@@ -369,7 +398,7 @@ class LogNormal(Distribution):
         w = self._w(t)
         if w == -_INF:
             return -_INF
-        return -_log(t) - math.log(self.sdlog) - 0.5 * _LN_2PI - 0.5 * w * w
+        return -_log(t) - self._ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w
 
     def survival(self, t):
         if t <= 0.0:
@@ -410,13 +439,14 @@ class LogLogistic(Distribution):
     def __init__(self, shape, scale):
         self.shape = shape
         self.scale = scale
+        self._ln_shape_over_scale = _log(shape / scale)
 
     def _ln_odds(self, t):
         return self.shape * _log(t / self.scale)
 
     def ln_pdf(self, t):
         ln_ratio = _log(t / self.scale)
-        return (math.log(self.shape / self.scale) + (self.shape - 1.0) * ln_ratio
+        return (self._ln_shape_over_scale + (self.shape - 1.0) * ln_ratio
                 - 2.0 * _softplus(self.shape * ln_ratio))
 
     def survival(self, t):
@@ -458,20 +488,24 @@ class GenGammaOrig(Distribution):
         self.shape = shape
         self.scale = scale
         self.k = k
+        bk = shape * k
+        self._ln_shape = math.log(shape)
+        self._bk_minus_1 = bk - 1.0
+        self._bk_ln_scale = bk * math.log(scale)
+        self._ln_gamma_k = sf.ln_gamma(k)
 
     def _z(self, t):
         return _exp(self.shape * _log(t / self.scale))
 
     def ln_pdf(self, t):
-        bk = self.shape * self.k
-        return (math.log(self.shape) + (bk - 1.0) * _log(t) - bk * math.log(self.scale)
-                - sf.ln_gamma(self.k) - self._z(t))
+        return (self._ln_shape + self._bk_minus_1 * _log(t) - self._bk_ln_scale
+                - self._ln_gamma_k - self._z(t))
 
     def survival(self, t):
         return sf.reg_upper_gamma(self._z(t), self.k)
 
     def ln_survival(self, t):
-        return sf.ln_upper_inc_gamma(self._z(t), self.k) - sf.ln_gamma(self.k)
+        return sf.ln_upper_inc_gamma(self._z(t), self.k) - self._ln_gamma_k
 
     def _pivot(self):
         return self.scale
@@ -500,6 +534,10 @@ class GenGamma(Distribution):
         self.q = q
         self._k = q ** -2
         self._ln_scale = mu + 2.0 * (sigma / q) * math.log(abs(q))
+        self._ln_gamma_k = sf.ln_gamma(self._k)
+        # the t-free leading terms of ln_pdf, summed in ln_pdf's order
+        self._ln_pdf_lead = (math.log(abs(q)) + self._k * math.log(self._k)
+                             - self._ln_gamma_k - math.log(sigma))
 
     def _z(self, t):
         w = (_log(t) - self.mu) / self.sigma
@@ -508,9 +546,7 @@ class GenGamma(Distribution):
     def ln_pdf(self, t):
         w = (_log(t) - self.mu) / self.sigma
         qw = self.q * w
-        return (math.log(abs(self.q)) + self._k * math.log(self._k)
-                - sf.ln_gamma(self._k) - math.log(self.sigma) - _log(t)
-                + self._k * (qw - _exp(qw)))
+        return self._ln_pdf_lead - _log(t) + self._k * (qw - _exp(qw))
 
     def survival(self, t):
         if t <= 0.0:
@@ -525,8 +561,8 @@ class GenGamma(Distribution):
             return 0.0
         z = self._z(t)
         if self.q > 0.0:
-            return sf.ln_upper_inc_gamma(z, self._k) - sf.ln_gamma(self._k)
-        return sf.ln_lower_inc_gamma(z, self._k) - sf.ln_gamma(self._k)
+            return sf.ln_upper_inc_gamma(z, self._k) - self._ln_gamma_k
+        return sf.ln_lower_inc_gamma(z, self._k) - self._ln_gamma_k
 
     def _pivot(self):
         return _exp(self.mu)
@@ -536,7 +572,7 @@ class GenGamma(Distribution):
         g = self._k + self.sigma / self.q
         if g <= 0.0:
             return _NAN
-        return _exp(self._ln_scale + sf.ln_gamma(g) - sf.ln_gamma(self._k))
+        return _exp(self._ln_scale + sf.ln_gamma(g) - self._ln_gamma_k)
 
     def _mrl(self, x):
         return _gamma_type_mrl(x, self._ln_scale, self._k, self.q / self.sigma, self._z(x))
@@ -558,14 +594,16 @@ class GenFOrig(Distribution):
         self.sigma = sigma
         self.s1 = s1
         self.s2 = s2
+        self._ln_u0 = -mu / sigma + _log(s1 / s2)
+        self._ln_sigma = math.log(sigma)
+        self._ln_beta = sf.ln_beta(s1, s2)
 
     def _ln_u(self, t):
-        return (-self.mu / self.sigma + math.log(self.s1 / self.s2)
-                + _log(t) / self.sigma)
+        return self._ln_u0 + _log(t) / self.sigma
 
     def ln_pdf(self, t):
         ln_u = self._ln_u(t)
-        return (-math.log(self.sigma) - _log(t) - sf.ln_beta(self.s1, self.s2)
+        return (-self._ln_sigma - _log(t) - self._ln_beta
                 + self.s1 * ln_u - (self.s1 + self.s2) * _softplus(ln_u))
 
     def _upper_beta_arg(self, t):
@@ -592,7 +630,7 @@ class GenFOrig(Distribution):
         # mean = exp(mu) * (s2/s1)^sigma * B(s1+sigma, s2-sigma) / B(s1, s2)
         ln_mean = (self.mu + self.sigma * math.log(self.s2 / self.s1)
                    + sf.ln_beta(self.s1 + self.sigma, self.s2 - self.sigma)
-                   - sf.ln_beta(self.s1, self.s2))
+                   - self._ln_beta)
         return _beta_prime_type_mrl(x, ln_mean, self.s1, self.s2, self.sigma,
                                     self._upper_beta_arg(x))
 
@@ -610,15 +648,16 @@ class GenF(Distribution):
         self.p = p
         om, os, s1, s2 = convert_genf_to_orig(mu, sigma, q, p)
         self._orig = GenFOrig(om, os, s1, s2)
-        self._delta = math.sqrt(q * q + 2.0 * p)
+        delta = self._delta = math.sqrt(q * q + 2.0 * p)
+        self._ln_u0 = -mu * delta / sigma + _log(s1 / s2)
+        self._delta_over_sigma = delta / sigma
+        self._ln_delta_over_sigma = math.log(delta) - math.log(sigma)
 
     def ln_pdf(self, t):
         # direct density: delta/(sigma*t*B(s1,s2)) * u^s1 / (1+u)^(s1+s2)
         d = self._orig
-        ln_u = (-self.mu * self._delta / self.sigma + math.log(d.s1 / d.s2)
-                + (self._delta / self.sigma) * _log(t))
-        return (math.log(self._delta) - math.log(self.sigma) - _log(t)
-                - sf.ln_beta(d.s1, d.s2) + d.s1 * ln_u
+        ln_u = self._ln_u0 + self._delta_over_sigma * _log(t)
+        return (self._ln_delta_over_sigma - _log(t) - d._ln_beta + d.s1 * ln_u
                 - (d.s1 + d.s2) * _softplus(ln_u))
 
     def survival(self, t):

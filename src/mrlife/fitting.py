@@ -111,16 +111,21 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
         else:
             terms = np.array([
                 obj.ln_pdf(ti) if ei == 1.0 else obj.ln_survival(ti)
-                for ti, ei in zip(t, event)
+                for ti, ei in zip(t.tolist(), event.tolist())
             ])
     elif isinstance(obj, SurvivalModel):
         if sample.covariates is None and obj.schema.covariates:
             raise ValueError("sample has no covariate columns for this model")
         rows = _sample_rows(sample, [c.name for c in obj.schema.covariates])
         terms = np.empty(len(t))
-        for i, row in enumerate(rows):
-            dist = obj.resolve_row(row)
-            terms[i] = dist.ln_pdf(t[i]) if event[i] == 1.0 else dist.ln_survival(t[i])
+        dists = {}  # one distribution per distinct design row
+        for i, (row, ti, ei) in enumerate(zip(rows, t.tolist(), event.tolist())):
+            design = obj.schema.design_row(row)
+            key = tuple(design)
+            dist = dists.get(key)
+            if dist is None:
+                dist = dists[key] = obj.resolve_parameters(design)
+            terms[i] = dist.ln_pdf(ti) if ei == 1.0 else dist.ln_survival(ti)
     else:
         raise TypeError("expected a Distribution or SurvivalModel")
     total = float(np.sum(terms))
@@ -203,12 +208,23 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     t = sample.time
     event = sample.event
     vectorized = dist in _VECTORIZED_TAGS
+    # Python floats for the per-row loop: on numpy scalars every step of the
+    # scalar kernels is slower (a gamma ln_survival: 4.4 us against 7.1 us)
+    t_list = t.tolist()
+    observed = (event == 1.0).tolist()
 
     def unpack(theta):
-        params = {name: _back_transform(dist, name, theta[i])
+        values = theta.tolist()
+        params = {name: _back_transform(dist, name, values[i])
                   for i, name in enumerate(param_names)}
         betas = theta[len(param_names):]
         return params, betas
+
+    def build(params):
+        try:
+            return make_distribution(dist, params)
+        except (ValueError, ArithmeticError):  # outside the family's domain
+            return None
 
     def loglik(theta):
         params, betas = unpack(theta)
@@ -221,23 +237,23 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
             total = float(np.sum(np.where(event == 1.0, lp, ls)))
             return total if math.isfinite(total) else float("nan")
         if len(betas):
+            # one distribution per distinct location value, summed in row order
+            dists = {}
             total = 0.0
-            loc = np.broadcast_to(np.atleast_1d(loc), (len(t),))
-            for i in range(len(t)):
-                params[location] = float(loc[i])
-                try:
-                    d = make_distribution(dist, params)
-                except ValueError:
-                    return float("nan")
-                term = d.ln_pdf(t[i]) if event[i] == 1.0 else d.ln_survival(t[i])
-                total += term
+            for ti, obs, li in zip(t_list, observed, loc.tolist()):
+                d = dists.get(li)
+                if d is None:
+                    params[location] = li
+                    d = dists[li] = build(params)
+                    if d is None:
+                        return float("nan")
+                total += d.ln_pdf(ti) if obs else d.ln_survival(ti)
                 if not math.isfinite(total):
                     return float("nan")
             return total
         params[location] = float(loc)
-        try:
-            d = make_distribution(dist, params)
-        except ValueError:
+        d = build(params)
+        if d is None:
             return float("nan")
         return censored_loglik(d, sample)
 

@@ -187,9 +187,14 @@ def predict_residual_life(model: SurvivalModel, life, p=0.5, type="mean",
     query = ResidualLifeQuery(values=[life], p=p, type=type)
     query.validate()
     table = ResidualLifeTable(values=[])
+    tables = {}  # one table per distinct design row; every row is still checked
     for row in rows:
-        dist = model.resolve_row(row)
-        one = residual_life_table(dist, query)
+        design = model.schema.design_row(row)
+        key = tuple(design)
+        one = tables.get(key)
+        if one is None:
+            one = tables[key] = residual_life_table(
+                model.resolve_parameters(design), query)
         table.values.append(float(life))
         for name, col in one.columns.items():
             table.columns.setdefault(name, []).extend(col)

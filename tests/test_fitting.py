@@ -5,9 +5,22 @@ import numpy as np
 import pytest
 
 from mrlife import CensoredSample, censored_loglik, fit, make_distribution
-from mrlife.distributions import Weibull
+from mrlife import fitting
+from mrlife import specfun as sf
+from mrlife.distributions import (_LN_2PI, PARAM_NAMES, POSITIVE_PARAMS, Weibull,
+                                  _exp, _log, _softplus)
+from mrlife.regression import LOCATION_PARAMS
 
-from conftest import weibull_censored_sample
+from conftest import sample_params, weibull_censored_sample
+
+# families whose likelihood runs the per-row loop (not _VECTORIZED_TAGS)
+_LOOP_TAGS = ("gamma", "gompertz", "lnorm", "llogis", "gengamma.orig",
+              "gengamma", "genf.orig", "genf")
+_LEVELS = ("a", "b", "c")
+
+
+def _same_bits(a, b):
+    return float(a).hex() == float(b).hex()
 
 
 class TestCensoredSample:
@@ -166,3 +179,151 @@ class TestFit:
         sample = CensoredSample.from_lists([1.0], [1])
         with pytest.raises(ValueError, match="unknown distribution"):
             fit("weibullish", sample)
+
+
+def _factor_sample(tag, seed, n=45):
+    """Seeded censored sample with a 3-level factor shifting the location."""
+    rng = np.random.default_rng(seed)
+    base = sample_params(tag, rng)
+    location, link = LOCATION_PARAMS[tag]
+    groups, times = [], []
+    for i in range(n):
+        level = i % 3
+        params = dict(base)
+        shift = 0.3 * (level - 1)
+        params[location] = (params[location] * math.exp(shift) if link == "log"
+                            else params[location] + shift)
+        groups.append(_LEVELS[level])
+        times.append(make_distribution(tag, params).isf(float(rng.uniform(0.02, 0.98))))
+    event = (rng.uniform(size=n) < 0.7).astype(float)
+    event[0] = 1.0
+    return CensoredSample.from_lists(times, event, {"group": groups})
+
+
+class _Captured(Exception):
+    pass
+
+
+def _objective(monkeypatch, tag, sample):
+    """fit()'s objective and start values, caught at the optimizer call."""
+    seen = {}
+
+    def capture(fun, x0, **kwargs):
+        seen["objective"], seen["theta0"] = fun, np.array(x0)
+        raise _Captured
+
+    monkeypatch.setattr(fitting, "minimize", capture)
+    with pytest.raises(_Captured):
+        fit(tag, sample, ["group"])
+    return seen["objective"], seen["theta0"]
+
+
+def _naive_objective(tag, sample, theta):
+    """One make_distribution per row and a sequential sum, as fit() once did."""
+    names = PARAM_NAMES[tag]
+    location, link = LOCATION_PARAMS[tag]
+    schema = fitting.infer_schema(sample.covariates, ["group"])
+    design = np.array([schema.design_row({"group": g})
+                       for g in sample.covariates["group"]])
+    eta = theta[names.index(location)] + design @ theta[len(names):]
+    loc = np.exp(eta) if link == "log" else eta
+    total = 0.0
+    for i in range(len(sample)):
+        params = {name: math.exp(theta[j]) if name in POSITIVE_PARAMS[tag]
+                  else float(theta[j]) for j, name in enumerate(names)}
+        params[location] = float(loc[i])
+        d = make_distribution(tag, params)
+        t = float(sample.time[i])
+        total += d.ln_pdf(t) if sample.event[i] == 1.0 else d.ln_survival(t)
+    return -total
+
+
+def _thetas(theta0):
+    k = np.arange(len(theta0))
+    return (theta0,
+            theta0 + 0.05 * np.where(k % 2 == 0, 1.0, -1.0),
+            theta0 - 0.08 * np.where(k % 3 == 0, 1.0, -0.5))
+
+
+class TestLikelihoodLoop:
+    @pytest.mark.parametrize("tag", _LOOP_TAGS)
+    def test_objective_matches_per_row_loop_bit_for_bit(self, monkeypatch, tag):
+        sample = _factor_sample(tag, seed=_LOOP_TAGS.index(tag) + 41)
+        objective, theta0 = _objective(monkeypatch, tag, sample)
+        for theta in _thetas(theta0):
+            expected = _naive_objective(tag, sample, theta)
+            assert math.isfinite(expected)
+            assert _same_bits(objective(theta), expected), (tag, theta)
+
+    def test_one_distribution_per_level_per_evaluation(self, monkeypatch):
+        sample = _factor_sample("gamma", seed=43)
+        objective, theta0 = _objective(monkeypatch, "gamma", sample)
+        calls = []
+
+        def counted(tag, params):
+            calls.append(tag)
+            return make_distribution(tag, params)
+
+        monkeypatch.setattr(fitting, "make_distribution", counted)
+        for theta in _thetas(theta0):
+            calls.clear()
+            objective(theta)
+            assert 1 <= len(calls) <= 3
+
+
+def _uncached_terms(d, t):
+    """(ln_pdf, ln_survival) from the formulas without cached constants."""
+    tag = d.tag
+    if tag == "gamma":
+        return ((d.shape * math.log(d.rate) + (d.shape - 1.0) * _log(t)
+                 - d.rate * t - sf.ln_gamma(d.shape)),
+                sf.ln_upper_inc_gamma(d.rate * t, d.shape) - sf.ln_gamma(d.shape))
+    if tag == "gompertz":
+        return math.log(d.rate) + d.shape * t + d.ln_survival(t), d.ln_survival(t)
+    if tag == "lnorm":
+        w = (_log(t) - d.meanlog) / d.sdlog
+        return (-_log(t) - math.log(d.sdlog) - 0.5 * _LN_2PI
+                - 0.5 * w * w), d.ln_survival(t)
+    if tag == "llogis":
+        ln_ratio = _log(t / d.scale)
+        return ((math.log(d.shape / d.scale) + (d.shape - 1.0) * ln_ratio
+                 - 2.0 * _softplus(d.shape * ln_ratio)), d.ln_survival(t))
+    if tag == "gengamma.orig":
+        bk = d.shape * d.k
+        z = d._z(t)
+        return ((math.log(d.shape) + (bk - 1.0) * _log(t) - bk * math.log(d.scale)
+                 - sf.ln_gamma(d.k) - z),
+                sf.ln_upper_inc_gamma(z, d.k) - sf.ln_gamma(d.k))
+    if tag == "gengamma":
+        k = d.q ** -2
+        qw = d.q * ((_log(t) - d.mu) / d.sigma)
+        z = d._z(t)
+        ln_inc = sf.ln_upper_inc_gamma if d.q > 0.0 else sf.ln_lower_inc_gamma
+        return ((math.log(abs(d.q)) + k * math.log(k) - sf.ln_gamma(k)
+                 - math.log(d.sigma) - _log(t) + k * (qw - _exp(qw))),
+                ln_inc(z, k) - sf.ln_gamma(k))
+    if tag == "genf.orig":
+        ln_u = (-d.mu / d.sigma + math.log(d.s1 / d.s2) + _log(t) / d.sigma)
+        return ((-math.log(d.sigma) - _log(t) - sf.ln_beta(d.s1, d.s2)
+                 + d.s1 * ln_u - (d.s1 + d.s2) * _softplus(ln_u)),
+                sf.ln_reg_inc_beta(1.0 / (1.0 + _exp(ln_u)), d.s2, d.s1))
+    if tag == "genf":
+        o = d._orig
+        delta = math.sqrt(d.q * d.q + 2.0 * d.p)
+        ln_u = (-d.mu * delta / d.sigma + math.log(o.s1 / o.s2)
+                + (delta / d.sigma) * _log(t))
+        return ((math.log(delta) - math.log(d.sigma) - _log(t)
+                 - sf.ln_beta(o.s1, o.s2) + o.s1 * ln_u
+                 - (o.s1 + o.s2) * _softplus(ln_u)), _uncached_terms(o, t)[1])
+    raise KeyError(tag)
+
+
+@pytest.mark.parametrize("tag", _LOOP_TAGS)
+def test_cached_constants_give_the_same_bits(tag):
+    rng = np.random.default_rng(_LOOP_TAGS.index(tag) + 61)
+    for _ in range(20):
+        d = make_distribution(tag, sample_params(tag, rng))
+        for t in (1e-3, 0.05, 0.5, 1.0, 2.5, 10.0, 60.0):
+            ln_pdf, ln_survival = _uncached_terms(d, t)
+            assert _same_bits(d.ln_pdf(t), ln_pdf), (d, t)
+            assert _same_bits(d.ln_survival(t), ln_survival), (d, t)

@@ -77,6 +77,23 @@ class TestPercentileResidualLife:
         assert math.isnan(percentile_residual_life(d, 10.0, 1.0 - 1e-6))
         assert math.isnan(percentile_residual_life(d, 30.0, 0.5))
 
+        # the bracket's first step up from the pivot t = 1 lands at t = 8,
+        # inside the band; the root 1.5 lies where ln S is finite
+        class NaNBeyondTwo(NaNBeyondTwenty):
+            def ln_survival(self, t):
+                return -t if t <= 2.0 else math.nan
+
+        assert NaNBeyondTwo().isf(math.exp(-1.5)) == pytest.approx(1.5, rel=1e-12)
+        assert math.isnan(NaNBeyondTwo().isf(math.exp(-3.0)))
+
+        # the same below the pivot: the step down to t = 1/8 lands in the band
+        class NaNBelowHalf(NaNBeyondTwenty):
+            def ln_survival(self, t):
+                return -t if t >= 0.5 else math.nan
+
+        assert NaNBelowHalf().isf(math.exp(-0.7)) == pytest.approx(0.7, rel=1e-12)
+        assert math.isnan(NaNBelowHalf().isf(math.exp(-0.2)))
+
     def test_validation(self):
         d = make_distribution("exponential", {"rate": 1.0})
         with pytest.raises(ValueError):
