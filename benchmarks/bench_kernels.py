@@ -33,9 +33,8 @@ _KERNEL_NAMES = [
 def active_backend(impl):
     """Temporarily rebind the specfun front end onto one kernel module.
 
-    Names specfun only aliases are rebound; the ones it wraps (the large-x
-    branch of the incomplete gamma and E1) keep their wrapper, which
-    reaches the kernel module through ``specfun._impl``.
+    Every kernel name in specfun is an alias of the selected module's
+    function, so every one is rebound onto ``impl``.
     """
     saved = {name: getattr(specfun, name) for name in _KERNEL_NAMES}
     saved["BACKEND"] = specfun.BACKEND

@@ -1,8 +1,10 @@
 """Pure-Python special-function kernels.
 
-Fallback twin of the compiled ``_ckernels`` extension: same algorithms,
-same constants, same branch points, so results agree to within a few ulp
-and either backend can run the full test suite.
+Fallback twin of the compiled ``_ckernels`` extension (hand-written C):
+same algorithms, same constants, same branch points, function for
+function, so results agree to within a few ulp and either backend can run
+the full test suite.  ``specfun`` aliases one module's functions directly;
+nothing sits in front of them, so every kernel fix goes into both twins.
 
 Conventions shared by both backends:
 
@@ -29,6 +31,15 @@ _SQRT_2PI = 2.5066282746310005024
 
 _NAN = float("nan")
 _INF = float("inf")
+
+# Large-argument branch.  From x = 2**51 on, the continued fractions can stall
+# one ulp short of their stopping test (b += 2 stops changing b above 2**53)
+# and would return NaN.  There, with a <= x/1024, the asymptotic series
+# ln Gamma(x, a) = (a-1) ln x - x + ln(1 + (a-1)/x + ...) and
+# exp(z) E1(z) = (1 - 1/z + 2/z^2 - ...)/z answer instead (DiDonato & Morris
+# 1986, ACM TOMS 12(4); Numerical Recipes 3rd ed. 6.2-6.3); e^-x underflows
+# to 0, so the regularized values take their limits.
+_BIG_X = 2.0 ** 51
 
 
 def ln_gamma(a):
@@ -70,12 +81,27 @@ def _lower_gamma_series(x, a):
     return math.exp(ln_unnorm - math.lgamma(a)), ln_unnorm
 
 
+def _upper_gamma_asymptotic(x, a):
+    """ln Gamma(x, a) for x >= _BIG_X, a <= x/1024, by its asymptotic series."""
+    if x == _INF:
+        return -_INF
+    term = total = 1.0
+    n = 1.0
+    while abs(term) > 1e-17 * total:  # each term is <= 1/1024 of the last
+        term *= (a - n) / x
+        total += term
+        n += 1.0
+    return (a - 1.0) * math.log(x) - x + math.log(total)
+
+
 def _upper_gamma_cf(x, a):
     """Lentz continued fraction for the upper incomplete gamma, x >= a + 1.
 
-    Returns (Q, ln_h) where Q = Gamma(x, a)/Gamma(a) and
-    ln Gamma(x, a) = -x + a*ln(x) + ln_h (unnormalized, log scale).
+    Returns (Q, ln_unnorm) where Q = Gamma(x, a)/Gamma(a) and
+    ln_unnorm = ln Gamma(x, a) (unnormalized, log scale).
     """
+    if x >= _BIG_X and a <= x / 1024.0:
+        return 0.0, _upper_gamma_asymptotic(x, a)
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -168,6 +194,8 @@ def upper_inc_gamma(x, a):
 
 def _e1_scaled_cf(z):
     """Lentz continued fraction for exp(z)*E1(z), z >= 1."""
+    if z >= _BIG_X:
+        return (1.0 - 1.0 / z) / z
     b = z + 1.0
     c = 1.0 / _FPMIN
     d = 1.0 / b

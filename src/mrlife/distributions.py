@@ -769,7 +769,8 @@ def make_distribution(tag, params):
     accepts shape/scale, normalized internally to shape/rate), otherwise
     a ParameterError with an "incorrect parameters entered..." message is
     raised.  Value constraints (positivity, Q != 0, ...) are checked here
-    as well so instances are always valid.
+    as well so instances are always valid; values whose construction
+    overflows or divides by zero also raise a ParameterError.
     """
     if tag not in _BY_TAG:
         known = ", ".join(DISTRIBUTION_TAGS)
@@ -794,4 +795,8 @@ def make_distribution(tag, params):
             "Q = 0 is not supported for gengamma (the family degenerates to "
             "a log-normal; use lnorm instead)", code="bad_parameters")
     ordered = [given[name] for name in cls.param_names]
-    return cls(*ordered)
+    try:
+        return cls(*ordered)
+    except ArithmeticError as exc:  # e.g. gengamma Q**-2 overflowing
+        raise ParameterError(
+            f"parameters out of numerical range for {tag}: {exc}") from exc

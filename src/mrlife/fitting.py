@@ -223,7 +223,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     def build(params):
         try:
             return make_distribution(dist, params)
-        except (ValueError, ArithmeticError):  # outside the family's domain
+        except ValueError:  # outside the family's domain
             return None
 
     def loglik(theta):

@@ -1,9 +1,15 @@
-"""Shared test helpers: random parameter samplers, synthetic data,
-and the acceptance-criterion reporting hook."""
+"""Shared test helpers: random parameter samplers, synthetic data, the
+compiled kernel module, and the acceptance-criterion reporting hook."""
+import importlib.util
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mrlife import make_distribution
+from mrlife import _pykernels, make_distribution, specfun
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def pytest_configure(config):
@@ -127,3 +133,32 @@ def weibull_censored_sample(n, shape, scale, censored_share, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels():
+    """The compiled kernel module, or None when there is no way to get one.
+
+    The installed/in-place ``mrlife._ckernels`` when it imports; otherwise
+    ``src/mrlife/_ckernels.c`` built with gcc by ``perfbench/ckernels.py``
+    (into the ignored ``perfbench/out/build/``).  None only without gcc; a
+    failing build is an error, not a skip.
+    """
+    try:
+        from mrlife import _ckernels
+        return _ckernels
+    except ImportError:
+        pass
+    if shutil.which("gcc") is None:
+        return None
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ckernels", ROOT / "perfbench" / "ckernels.py")
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    return builder.load()
+
+
+@pytest.fixture(scope="session")
+def kernel_modules(compiled_kernels):
+    """specfun and, directly, each kernel twin it can select."""
+    return [m for m in (specfun, _pykernels, compiled_kernels) if m is not None]

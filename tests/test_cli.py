@@ -139,6 +139,17 @@ class TestResidlife:
         assert ("incorrect parameters entered. Parameters for weibull are "
                 "shape and scale") in res.output
 
+    @pytest.mark.parametrize("dist,params", [
+        ("gengamma", "mu=0,sigma=1,Q=1e-160"),  # Q**-2 overflows
+        ("genf", "mu=0,sigma=1,Q=1e5,P=1e-300"),  # 2/0 converting to genf.orig
+    ])
+    def test_arithmetic_failure_is_a_usage_error(self, dist, params):
+        # catch_exceptions=False: a traceback would fail the test itself
+        res = run(["residlife", "--values", "1", "--dist", dist, "--params", params])
+        assert res.exit_code == 2
+        assert f"Error: parameters out of numerical range for {dist}" in res.output
+        assert "Traceback" not in res.output
+
     def test_bad_p_exit_2(self):
         res = run(["residlife", "--values", "1", *WEIBULL_ARGS, "--p", "1.5"])
         assert res.exit_code == 2

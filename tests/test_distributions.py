@@ -63,6 +63,14 @@ class TestConstruction:
             make_distribution("weibullish", {"shape": 1.0, "scale": 1.0})
 
     @pytest.mark.parametrize("tag,params", [
+        ("gengamma", {"mu": 0.0, "sigma": 1.0, "Q": 1e-160}),  # Q**-2 overflows
+        ("genf", {"mu": 0.0, "sigma": 1.0, "Q": 1e5, "P": 1e-300}),  # 2/0
+    ])
+    def test_arithmetic_error_is_a_parameter_error(self, tag, params):
+        with pytest.raises(ParameterError, match="out of numerical range"):
+            make_distribution(tag, params)
+
+    @pytest.mark.parametrize("tag,params", [
         ("weibull", {"shape": -1.0, "scale": 2.0}),
         ("weibull", {"shape": 1.0, "scale": 0.0}),
         ("exponential", {"rate": -2.0}),

@@ -3,7 +3,8 @@
 Both backends share algorithms and constants, so their outputs agree to
 within a few ulp; the suite also pins the pure-Python backend against a
 few frozen values so the fallback stays correct even when the extension
-is the active import.
+is the active import.  The compiled side is the importable extension, or
+a gcc build of ``src/mrlife/_ckernels.c`` (``compiled_kernels`` fixture).
 """
 import math
 
@@ -12,11 +13,6 @@ import pytest
 
 from mrlife import _pykernels as pk
 from mrlife import specfun as sf
-
-try:
-    from mrlife import _ckernels as ck
-except ImportError:  # pure-Python install
-    ck = None
 
 _KERNELS = [
     "ln_gamma", "ln_beta", "reg_lower_gamma", "reg_upper_gamma",
@@ -27,12 +23,12 @@ _KERNELS = [
 ]
 
 
-def test_backend_exports_complete():
+def test_backend_exports_complete(compiled_kernels):
     for name in _KERNELS:
         assert callable(getattr(pk, name))
         assert callable(getattr(sf, name))
-        if ck is not None:
-            assert callable(getattr(ck, name))
+        if compiled_kernels is not None:
+            assert callable(getattr(compiled_kernels, name))
 
 
 def _argument_grid(rng, n=2000):
@@ -57,14 +53,28 @@ def _argument_grid(rng, n=2000):
         yield "std_normal_cdf", (float(rng.uniform(-40.0, 40.0)),)
         yield "ln_std_normal_sf", (float(rng.uniform(-10.0, 60.0)),)
         yield "std_normal_quantile", (float(rng.uniform(0.0, 1.0)),)
+    # the large-argument branch: x >= 2**51 with a <= x/1024, and x = inf
+    big = np.random.default_rng(251)
+    xs = np.exp(big.uniform(np.log(2.0 ** 51), np.log(1e300), size=200)).tolist()
+    shares = np.exp(big.uniform(np.log(1e-20), 0.0, size=200)).tolist()
+    points = [(x, x / 1024.0 * u) for x, u in zip(xs, shares)]
+    points += [(2.0 ** 51, 25.0), (7e16, 25.0), (1e300, 0.5), (math.inf, 2.5),
+               (math.inf, 1e6)]
+    for x, a in points:
+        for name in ("ln_upper_inc_gamma", "ln_lower_inc_gamma", "reg_lower_gamma",
+                     "reg_upper_gamma", "upper_inc_gamma"):
+            yield name, (x, a)
+        yield "exp_integral_e1", (x,)
+        yield "exp_integral_e1_scaled", (x,)
 
 
-@pytest.mark.skipif(ck is None, reason="compiled extension not built")
-def test_twins_agree(rng):
+def test_twins_agree(rng, compiled_kernels):
+    if compiled_kernels is None:
+        pytest.skip("gcc not found; compiled kernels cannot be built")
     for name, args in _argument_grid(rng):
         v_py = getattr(pk, name)(*args)
-        v_c = getattr(ck, name)(*args)
-        if math.isnan(v_py) and math.isnan(v_c):
+        v_c = getattr(compiled_kernels, name)(*args)
+        if v_py == v_c or (math.isnan(v_py) and math.isnan(v_c)):
             continue
         scale = max(abs(v_py), abs(v_c), 1e-300)
         assert abs(v_py - v_c) / scale < 1e-12, (name, args, v_py, v_c)

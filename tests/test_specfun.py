@@ -114,7 +114,8 @@ class TestExpIntegral:
 
 class TestLargeArgument:
     """x >= 2**51, where the continued fractions can stall one ulp short of
-    their stopping test; the front end's asymptotic branch answers there."""
+    their stopping test; both kernel twins answer by an asymptotic branch.
+    Each test runs on specfun and on every kernel module directly."""
 
     @staticmethod
     def _grid():
@@ -124,38 +125,42 @@ class TestLargeArgument:
         return list(zip(xs.tolist(), shapes.tolist())) + [
             (2.0 ** 51, 25.0), (3e15, 0.3), (7e16, 25.0), (1e20, 1.0), (1e300, 0.5)]
 
-    def test_incomplete_gamma_against_mpmath(self):
+    def test_incomplete_gamma_against_mpmath(self, kernel_modules):
         with mpmath.workdps(40):
             for x, a in self._grid():
                 ln_upper = float(mpmath.log(mpmath.gammainc(a, x)))
                 ln_lower = float(mpmath.log(mpmath.gammainc(a, 0, x)))
-                assert math.isclose(sf.ln_upper_inc_gamma(x, a), ln_upper,
-                                    rel_tol=1e-15), (x, a)
-                # ln Gamma(a) itself: lgamma's absolute error near its zeros
-                assert math.isclose(sf.ln_lower_inc_gamma(x, a), ln_lower,
-                                    rel_tol=1e-15, abs_tol=1e-15), (x, a)
-                assert sf.upper_inc_gamma(x, a) == 0.0
-                assert sf.reg_upper_gamma(x, a) == 0.0
-                assert sf.reg_lower_gamma(x, a) == 1.0
+                for k in kernel_modules:
+                    assert math.isclose(k.ln_upper_inc_gamma(x, a), ln_upper,
+                                        rel_tol=1e-15), (k.__name__, x, a)
+                    # ln Gamma(a) itself: lgamma's absolute error near its zeros
+                    assert math.isclose(k.ln_lower_inc_gamma(x, a), ln_lower,
+                                        rel_tol=1e-15, abs_tol=1e-15), (k.__name__, x, a)
+                    assert k.upper_inc_gamma(x, a) == 0.0
+                    assert k.reg_upper_gamma(x, a) == 0.0
+                    assert k.reg_lower_gamma(x, a) == 1.0
 
-    def test_exp_integral_against_mpmath(self):
+    def test_exp_integral_against_mpmath(self, kernel_modules):
         with mpmath.workdps(40):
             for x, _ in self._grid():
                 scaled = float(mpmath.e1(x) * mpmath.exp(x))
-                assert math.isclose(sf.exp_integral_e1_scaled(x), scaled,
-                                    rel_tol=1e-15), x
-                assert sf.exp_integral_e1(x) == 0.0
+                for k in kernel_modules:
+                    assert math.isclose(k.exp_integral_e1_scaled(x), scaled,
+                                        rel_tol=1e-15), (k.__name__, x)
+                    assert k.exp_integral_e1(x) == 0.0
 
-    def test_infinite_argument_is_the_limit(self):
-        assert sf.ln_upper_inc_gamma(math.inf, 2.5) == -math.inf
-        assert sf.reg_upper_gamma(math.inf, 2.5) == 0.0
-        assert sf.reg_lower_gamma(math.inf, 2.5) == 1.0
-        assert sf.exp_integral_e1_scaled(math.inf) == 0.0
+    def test_infinite_argument_is_the_limit(self, kernel_modules):
+        for k in kernel_modules:
+            assert k.ln_upper_inc_gamma(math.inf, 2.5) == -math.inf, k.__name__
+            assert k.reg_upper_gamma(math.inf, 2.5) == 0.0, k.__name__
+            assert k.reg_lower_gamma(math.inf, 2.5) == 1.0, k.__name__
+            assert k.exp_integral_e1_scaled(math.inf) == 0.0, k.__name__
 
-    def test_domain_still_nan(self):
-        assert math.isnan(sf.ln_upper_inc_gamma(1e20, 0.0))
-        assert math.isnan(sf.reg_lower_gamma(1e20, -1.0))
-        assert math.isnan(sf.ln_upper_inc_gamma(1e20, math.nan))
+    def test_domain_still_nan(self, kernel_modules):
+        for k in kernel_modules:
+            assert math.isnan(k.ln_upper_inc_gamma(1e20, 0.0)), k.__name__
+            assert math.isnan(k.reg_lower_gamma(1e20, -1.0)), k.__name__
+            assert math.isnan(k.ln_upper_inc_gamma(1e20, math.nan)), k.__name__
 
 
 class TestIncompleteBeta:
