@@ -17,10 +17,13 @@ package and the CLI::
 Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 ``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  The mean
 residual life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log
-space; beyond three one-liners, T is a power of a gamma or a beta-prime
-variable and one of the two helpers below gives it.  When the survival
+space.  Beyond the three one-liner families (exponential, gompertz,
+lnorm), T is a power of a gamma or of a beta-prime variable, and one of
+two family cores, ``_GammaPower`` and ``_BetaPrimePower``, carries every
+method; each family on them only maps its parameters.  When the survival
 probability at ``x`` underflows to zero the result is NaN (the same
-degenerate rows a double-precision reference produces).  Distribution
+degenerate rows a double-precision reference produces).  ``pdf`` is 0 at
+t = inf and takes its limit at t = 0 (0, finite or +inf).  Distribution
 objects are immutable after construction and all methods are pure, so
 instances are safe to share across threads.
 """
@@ -69,33 +72,12 @@ def _softplus(y):
     return math.log1p(_exp(y))
 
 
-def _gamma_type_mrl(x, ln_scale, k, b, z):
-    """E[T; T > x]/S(x) - x for T = scale * G**(1/b), G ~ Gamma(k), z = (x/scale)**b.
-
-    For b > 0, T > x is G > z: E[T; T > x] = scale * Gamma(z, k + 1/b)/Gamma(k)
-    and S(x) = Gamma(z, k)/Gamma(k).  For b < 0 it is G < z and the lower
-    incomplete gamma replaces the upper one; T has no mean once k + 1/b <= 0.
-    """
-    g = k + 1.0 / b
-    if b > 0.0:
-        ln_tail, ln_sx = sf.ln_upper_inc_gamma(z, g), sf.ln_upper_inc_gamma(z, k)
-    elif g > 0.0:
-        ln_tail, ln_sx = sf.ln_lower_inc_gamma(z, g), sf.ln_lower_inc_gamma(z, k)
-    else:
-        return _NAN
-    return _exp(ln_scale + ln_tail - ln_sx) - x
-
-
-def _beta_prime_type_mrl(x, ln_mean, s1, s2, sigma, v):
-    """E[T; T > x]/S(x) - x for T = m * u**sigma, u ~ beta-prime(s1, s2), v = 1/(1 + u(x)).
-
-    1/(1 + u) ~ Beta(s2, s1), so S(x) = I_v(s2, s1) and
-    E[T; T > x] = mean * I_v(s2 - sigma, s1 + sigma); no mean once s2 <= sigma.
-    """
-    if s2 <= sigma:
-        return _NAN
-    return _exp(ln_mean + sf.ln_reg_inc_beta(v, s2 - sigma, s1 + sigma)
-                - sf.ln_reg_inc_beta(v, s2, s1)) - x
+def _ln_pdf_limit(t, power, ln_coef):
+    """ln_pdf where its formula meets inf - inf: -inf at t = inf, where every
+    density vanishes, and at t = 0 the limit of coef * t**power."""
+    if t == 0.0:
+        return -_INF if power > 0.0 else _INF if power < 0.0 else ln_coef
+    return -_INF if t == _INF else _NAN
 
 
 class Distribution:
@@ -125,7 +107,7 @@ class Distribution:
     # -- densities and probabilities ------------------------------------
 
     def pdf(self, t):
-        """Density at t >= 0."""
+        """Density at t >= 0; its limit at t = 0, and 0 at t = inf."""
         if t < 0.0:
             raise ValueError("t must be nonnegative")
         return _exp(self.ln_pdf(t))
@@ -246,6 +228,115 @@ class Distribution:
         raise NotImplementedError
 
 
+class _GammaPower(Distribution):
+    """T = scale * G**(1/b) with G ~ Gamma(k); z = (t/scale)**b is G at T = t.
+
+    For b > 0, T > t is G > z, so S(t) = Gamma(z, k)/Gamma(k) and
+    E[T; T > x] = scale * Gamma(z, k + 1/b)/Gamma(k).  For b < 0 it is
+    G < z and the lower incomplete gamma replaces the upper one; T has no
+    mean once k + 1/b <= 0.  z is written out in each method: a helper call
+    costs more than the density itself.
+    """
+
+    def __init__(self, ln_scale, k, b):
+        self._ln_scale = ln_scale
+        self._k = k
+        self._b = b
+        self._ln_gamma_k = sf.ln_gamma(k)
+        self._ln_pdf_lead = math.log(abs(b)) - self._ln_gamma_k
+
+    def ln_pdf(self, t):
+        ln_t = _log(t)
+        ln_z = self._b * (ln_t - self._ln_scale)
+        ln_f = self._ln_pdf_lead - ln_t + self._k * ln_z - _exp(ln_z)
+        if ln_f != ln_f:
+            # pdf ~ t**(kb - 1) at 0 for b > 0; exp(-z) wins for b < 0
+            kb = self._k * self._b
+            return _ln_pdf_limit(t, kb - 1.0 if self._b > 0.0 else _INF,
+                                 self._ln_pdf_lead - kb * self._ln_scale)
+        return ln_f
+
+    def survival(self, t):
+        z = _exp(self._b * (_log(t) - self._ln_scale))
+        if self._b > 0.0:
+            return sf.reg_upper_gamma(z, self._k)
+        return sf.reg_lower_gamma(z, self._k)
+
+    def ln_survival(self, t):
+        z = _exp(self._b * (_log(t) - self._ln_scale))
+        if self._b > 0.0:
+            return sf.ln_upper_inc_gamma(z, self._k) - self._ln_gamma_k
+        return sf.ln_lower_inc_gamma(z, self._k) - self._ln_gamma_k
+
+    def _pivot(self):
+        # T at G = k: shape/rate for the gamma, exp(mu) for the gengamma
+        return _exp(self._ln_scale + math.log(self._k) / self._b)
+
+    def _mrl(self, x):
+        k = self._k
+        z = _exp(self._b * (_log(x) - self._ln_scale))
+        g = k + 1.0 / self._b
+        if self._b > 0.0:
+            ln_tail, ln_sx = sf.ln_upper_inc_gamma(z, g), sf.ln_upper_inc_gamma(z, k)
+        elif g > 0.0:
+            ln_tail, ln_sx = sf.ln_lower_inc_gamma(z, g), sf.ln_lower_inc_gamma(z, k)
+        else:
+            return _NAN
+        return _exp(self._ln_scale + ln_tail - ln_sx) - x
+
+
+class _BetaPrimePower(Distribution):
+    """T = exp(mu) * (s2/s1 * u)**sigma with u ~ beta-prime(s1, s2).
+
+    This is genf.orig's parameterization.  1/(1 + u) ~ Beta(s2, s1), so
+    S(t) = I_v(s2, s1) with v = 1/(1 + u(t)), and
+    E[T; T > x] = mean * I_v(s2 - sigma, s1 + sigma); T has no mean once
+    s2 <= sigma.  u is written out in each method, as z is above.
+    """
+
+    def __init__(self, mu, sigma, s1, s2):
+        self._mu = mu
+        self._sigma = sigma
+        self._s1 = s1
+        self._s2 = s2
+        self._ln_u0 = -mu / sigma + _log(s1 / s2)
+        self._ln_beta = sf.ln_beta(s1, s2)
+        self._ln_pdf_lead = -math.log(sigma) - self._ln_beta
+
+    def ln_pdf(self, t):
+        ln_t = _log(t)
+        ln_u = self._ln_u0 + ln_t / self._sigma
+        ln_f = (self._ln_pdf_lead - ln_t + self._s1 * ln_u
+                - (self._s1 + self._s2) * _softplus(ln_u))
+        if ln_f != ln_f:
+            # pdf ~ t**(s1/sigma - 1) at 0
+            return _ln_pdf_limit(t, self._s1 / self._sigma - 1.0,
+                                 self._ln_pdf_lead + self._s1 * self._ln_u0)
+        return ln_f
+
+    def survival(self, t):
+        u = _exp(self._ln_u0 + _log(t) / self._sigma)
+        return sf.reg_inc_beta(1.0 / (1.0 + u), self._s2, self._s1)
+
+    def ln_survival(self, t):
+        u = _exp(self._ln_u0 + _log(t) / self._sigma)
+        return sf.ln_reg_inc_beta(1.0 / (1.0 + u), self._s2, self._s1)
+
+    def _pivot(self):
+        return _exp(self._mu)
+
+    def _mrl(self, x):
+        s1, s2, sigma = self._s1, self._s2, self._sigma
+        if s2 <= sigma:
+            return _NAN
+        v = 1.0 / (1.0 + _exp(self._ln_u0 + _log(x) / sigma))
+        # mean = exp(mu) * (s2/s1)^sigma * B(s1+sigma, s2-sigma) / B(s1, s2)
+        ln_mean = (self._mu + sigma * math.log(s2 / s1)
+                   + sf.ln_beta(s1 + sigma, s2 - sigma) - self._ln_beta)
+        return _exp(ln_mean + sf.ln_reg_inc_beta(v, s2 - sigma, s1 + sigma)
+                    - sf.ln_reg_inc_beta(v, s2, s1)) - x
+
+
 class Exponential(Distribution):
     """Constant-hazard lifetime; the memoryless baseline."""
 
@@ -271,8 +362,8 @@ class Exponential(Distribution):
         return 1.0 / self.rate
 
 
-class Weibull(Distribution):
-    """Weibull lifetime with shape alpha and scale lambda."""
+class Weibull(_GammaPower):
+    """Weibull lifetime with shape alpha and scale lambda: k = 1, b = shape."""
 
     tag = "weibull"
     param_names = ("shape", "scale")
@@ -280,30 +371,16 @@ class Weibull(Distribution):
     def __init__(self, shape, scale):
         self.shape = shape
         self.scale = scale
-
-    def _cum_hazard(self, t):
-        return _exp(self.shape * _log(t / self.scale))
-
-    def ln_pdf(self, t):
-        ln_ratio = _log(t / self.scale)
-        return (math.log(self.shape / self.scale) + (self.shape - 1.0) * ln_ratio
-                - _exp(self.shape * ln_ratio))
-
-    def survival(self, t):
-        return _exp(-self._cum_hazard(t))
+        super().__init__(math.log(scale), 1.0, shape)
 
     def ln_survival(self, t):
-        return -self._cum_hazard(t)
+        return -_exp(self.shape * _log(t / self.scale))
 
     def _isf_from_ln(self, ln_s):
         return self.scale * (-ln_s) ** (1.0 / self.shape)
 
-    def _mrl(self, x):
-        return _gamma_type_mrl(x, math.log(self.scale), 1.0, self.shape,
-                               self._cum_hazard(x))
 
-
-class Gamma(Distribution):
+class Gamma(_GammaPower):
     """Gamma lifetime with shape alpha and rate lambda (scale = 1/rate)."""
 
     tag = "gamma"
@@ -312,27 +389,7 @@ class Gamma(Distribution):
     def __init__(self, shape, rate):
         self.shape = shape
         self.rate = rate
-        self._shape_ln_rate = shape * math.log(rate)
-        self._ln_gamma_shape = sf.ln_gamma(shape)
-
-    def ln_pdf(self, t):
-        return (self._shape_ln_rate + (self.shape - 1.0) * _log(t)
-                - self.rate * t - self._ln_gamma_shape)
-
-    def survival(self, t):
-        return sf.reg_upper_gamma(self.rate * t, self.shape)
-
-    def ln_survival(self, t):
-        return sf.ln_upper_inc_gamma(self.rate * t, self.shape) - self._ln_gamma_shape
-
-    def mean(self):
-        return self.shape / self.rate
-
-    def _pivot(self):
-        return self.shape / self.rate
-
-    def _mrl(self, x):
-        return _gamma_type_mrl(x, -math.log(self.rate), self.shape, 1.0, self.rate * x)
+        super().__init__(-math.log(rate), shape, 1.0)
 
 
 class Gompertz(Distribution):
@@ -349,7 +406,8 @@ class Gompertz(Distribution):
     def ln_pdf(self, t):
         if self.shape == 0.0:
             return self._ln_rate - self.rate * t
-        return self._ln_rate + self.shape * t + self.ln_survival(t)
+        ln_f = self._ln_rate + self.shape * t + self.ln_survival(t)
+        return ln_f if ln_f == ln_f else _ln_pdf_limit(t, 0.0, self._ln_rate)
 
     def survival(self, t):
         return _exp(self.ln_survival(t))
@@ -430,8 +488,11 @@ class LogNormal(Distribution):
                     - sf.ln_std_normal_sf(self._w(x))) - x
 
 
-class LogLogistic(Distribution):
-    """Log-logistic lifetime; the mean exists only for shape > 1."""
+class LogLogistic(_BetaPrimePower):
+    """Log-logistic lifetime; the mean exists only for shape > 1.
+
+    (t/scale)**shape ~ beta-prime(1, 1): s1 = s2 = 1 and sigma = 1/shape.
+    """
 
     tag = "llogis"
     param_names = ("shape", "scale")
@@ -439,46 +500,18 @@ class LogLogistic(Distribution):
     def __init__(self, shape, scale):
         self.shape = shape
         self.scale = scale
-        self._ln_shape_over_scale = _log(shape / scale)
-
-    def _ln_odds(self, t):
-        return self.shape * _log(t / self.scale)
-
-    def ln_pdf(self, t):
-        ln_ratio = _log(t / self.scale)
-        return (self._ln_shape_over_scale + (self.shape - 1.0) * ln_ratio
-                - 2.0 * _softplus(self.shape * ln_ratio))
-
-    def survival(self, t):
-        return _exp(self.ln_survival(t))
+        super().__init__(math.log(scale), 1.0 / shape, 1.0, 1.0)
 
     def ln_survival(self, t):
-        return -_softplus(self._ln_odds(t))
+        return -_softplus(self.shape * _log(t / self.scale))
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or p != p:
-            raise ValueError("p must lie in [0, 1]")
-        if p == 1.0:
-            return _INF
-        return _exp(math.log(self.scale) + (_log(p) - math.log1p(-p)) / self.shape)
-
-    def isf(self, s):
-        if not 0.0 <= s <= 1.0 or s != s:
-            raise ValueError("s must lie in [0, 1]")
-        if s == 0.0:
-            return _INF
-        return _exp(math.log(self.scale) + (math.log1p(-s) - _log(s)) / self.shape)
-
-    def _mrl(self, x):
-        # u = (x/scale)^shape ~ beta-prime(1, 1), 1/(1 + u) = S(x) and
-        # mean = scale * Gamma(1 + 1/shape) * Gamma(1 - 1/shape)
-        inv = 1.0 / self.shape
-        ln_mean = (math.log(self.scale) + sf.ln_gamma(1.0 + inv)
-                   + sf.ln_gamma(1.0 - inv))
-        return _beta_prime_type_mrl(x, ln_mean, 1.0, 1.0, inv, self.survival(x))
+    def _isf_from_ln(self, ln_s):
+        # the odds (t/scale)**shape are (1 - S)/S
+        return _exp(math.log(self.scale)
+                    + (_log(-math.expm1(ln_s)) - ln_s) / self.shape)
 
 
-class GenGammaOrig(Distribution):
+class GenGammaOrig(_GammaPower):
     """Three-parameter generalized gamma (shape b, scale a, k)."""
 
     tag = "gengamma.orig"
@@ -488,41 +521,18 @@ class GenGammaOrig(Distribution):
         self.shape = shape
         self.scale = scale
         self.k = k
-        bk = shape * k
-        self._ln_shape = math.log(shape)
-        self._bk_minus_1 = bk - 1.0
-        self._bk_ln_scale = bk * math.log(scale)
-        self._ln_gamma_k = sf.ln_gamma(k)
-
-    def _z(self, t):
-        return _exp(self.shape * _log(t / self.scale))
-
-    def ln_pdf(self, t):
-        return (self._ln_shape + self._bk_minus_1 * _log(t) - self._bk_ln_scale
-                - self._ln_gamma_k - self._z(t))
-
-    def survival(self, t):
-        return sf.reg_upper_gamma(self._z(t), self.k)
-
-    def ln_survival(self, t):
-        return sf.ln_upper_inc_gamma(self._z(t), self.k) - self._ln_gamma_k
-
-    def _pivot(self):
-        return self.scale
-
-    def _mrl(self, x):
-        return _gamma_type_mrl(x, math.log(self.scale), self.k, self.shape, self._z(x))
+        super().__init__(math.log(scale), k, shape)
 
 
-class GenGamma(Distribution):
+class GenGamma(_GammaPower):
     """Log-location generalized gamma (mu, sigma, Q), Q != 0.
 
     T = scale * G**(Q/sigma) with G ~ Gamma(k), k = Q^-2 and
     scale = exp(mu) * (Q^2)^(sigma/Q) (Cox et al. 2007; flexsurv).  For
     Q > 0 this is ``gengamma.orig`` with shape=Q/sigma; for Q < 0 the power
     is negative, so survival and the residual-life partial moment take the
-    lower incomplete gamma.  Everything is evaluated in log space from
-    (mu, sigma, Q), so no intermediate scale underflows for small |Q|.
+    lower incomplete gamma.  The scale is kept as its logarithm, so no
+    intermediate underflows for small |Q|.
     """
 
     tag = "gengamma"
@@ -532,53 +542,10 @@ class GenGamma(Distribution):
         self.mu = mu
         self.sigma = sigma
         self.q = q
-        self._k = q ** -2
-        self._ln_scale = mu + 2.0 * (sigma / q) * math.log(abs(q))
-        self._ln_gamma_k = sf.ln_gamma(self._k)
-        # the t-free leading terms of ln_pdf, summed in ln_pdf's order
-        self._ln_pdf_lead = (math.log(abs(q)) + self._k * math.log(self._k)
-                             - self._ln_gamma_k - math.log(sigma))
-
-    def _z(self, t):
-        w = (_log(t) - self.mu) / self.sigma
-        return self._k * _exp(self.q * w)
-
-    def ln_pdf(self, t):
-        w = (_log(t) - self.mu) / self.sigma
-        qw = self.q * w
-        return self._ln_pdf_lead - _log(t) + self._k * (qw - _exp(qw))
-
-    def survival(self, t):
-        if t <= 0.0:
-            return 1.0
-        z = self._z(t)
-        if self.q > 0.0:
-            return sf.reg_upper_gamma(z, self._k)
-        return sf.reg_lower_gamma(z, self._k)
-
-    def ln_survival(self, t):
-        if t <= 0.0:
-            return 0.0
-        z = self._z(t)
-        if self.q > 0.0:
-            return sf.ln_upper_inc_gamma(z, self._k) - self._ln_gamma_k
-        return sf.ln_lower_inc_gamma(z, self._k) - self._ln_gamma_k
-
-    def _pivot(self):
-        return _exp(self.mu)
-
-    def mean(self):
-        # scale * Gamma(k + sigma/Q) / Gamma(k)
-        g = self._k + self.sigma / self.q
-        if g <= 0.0:
-            return _NAN
-        return _exp(self._ln_scale + sf.ln_gamma(g) - self._ln_gamma_k)
-
-    def _mrl(self, x):
-        return _gamma_type_mrl(x, self._ln_scale, self._k, self.q / self.sigma, self._z(x))
+        super().__init__(mu + 2.0 * (sigma / q) * math.log(abs(q)), q ** -2, q / sigma)
 
 
-class GenFOrig(Distribution):
+class GenFOrig(_BetaPrimePower):
     """Four-parameter generalized F (mu, sigma, s1, s2).
 
     T = exp(mu) * (s2/s1 * u)**sigma with u ~ beta-prime(s1, s2), so the
@@ -594,48 +561,10 @@ class GenFOrig(Distribution):
         self.sigma = sigma
         self.s1 = s1
         self.s2 = s2
-        self._ln_u0 = -mu / sigma + _log(s1 / s2)
-        self._ln_sigma = math.log(sigma)
-        self._ln_beta = sf.ln_beta(s1, s2)
-
-    def _ln_u(self, t):
-        return self._ln_u0 + _log(t) / self.sigma
-
-    def ln_pdf(self, t):
-        ln_u = self._ln_u(t)
-        return (-self._ln_sigma - _log(t) - self._ln_beta
-                + self.s1 * ln_u - (self.s1 + self.s2) * _softplus(ln_u))
-
-    def _upper_beta_arg(self, t):
-        # 1 - u/(1+u) = 1/(1+u), computed without cancellation
-        u = _exp(self._ln_u(t))
-        if u == _INF:
-            return 0.0
-        return 1.0 / (1.0 + u)
-
-    def survival(self, t):
-        if t <= 0.0:
-            return 1.0
-        return sf.reg_inc_beta(self._upper_beta_arg(t), self.s2, self.s1)
-
-    def ln_survival(self, t):
-        if t <= 0.0:
-            return 0.0
-        return sf.ln_reg_inc_beta(self._upper_beta_arg(t), self.s2, self.s1)
-
-    def _pivot(self):
-        return _exp(self.mu)
-
-    def _mrl(self, x):
-        # mean = exp(mu) * (s2/s1)^sigma * B(s1+sigma, s2-sigma) / B(s1, s2)
-        ln_mean = (self.mu + self.sigma * math.log(self.s2 / self.s1)
-                   + sf.ln_beta(self.s1 + self.sigma, self.s2 - self.sigma)
-                   - self._ln_beta)
-        return _beta_prime_type_mrl(x, ln_mean, self.s1, self.s2, self.sigma,
-                                    self._upper_beta_arg(x))
+        super().__init__(mu, sigma, s1, s2)
 
 
-class GenF(Distribution):
+class GenF(_BetaPrimePower):
     """Generalized F in the (mu, sigma, Q, P) parameterization, P > 0."""
 
     tag = "genf"
@@ -646,31 +575,7 @@ class GenF(Distribution):
         self.sigma = sigma
         self.q = q
         self.p = p
-        om, os, s1, s2 = convert_genf_to_orig(mu, sigma, q, p)
-        self._orig = GenFOrig(om, os, s1, s2)
-        delta = self._delta = math.sqrt(q * q + 2.0 * p)
-        self._ln_u0 = -mu * delta / sigma + _log(s1 / s2)
-        self._delta_over_sigma = delta / sigma
-        self._ln_delta_over_sigma = math.log(delta) - math.log(sigma)
-
-    def ln_pdf(self, t):
-        # direct density: delta/(sigma*t*B(s1,s2)) * u^s1 / (1+u)^(s1+s2)
-        d = self._orig
-        ln_u = self._ln_u0 + self._delta_over_sigma * _log(t)
-        return (self._ln_delta_over_sigma - _log(t) - d._ln_beta + d.s1 * ln_u
-                - (d.s1 + d.s2) * _softplus(ln_u))
-
-    def survival(self, t):
-        return self._orig.survival(t)
-
-    def ln_survival(self, t):
-        return self._orig.ln_survival(t)
-
-    def _pivot(self):
-        return _exp(self.mu)
-
-    def _mrl(self, x):
-        return self._orig._mrl(x)
+        super().__init__(*convert_genf_to_orig(mu, sigma, q, p))
 
 
 class GenGammaOrigParams(NamedTuple):
@@ -729,11 +634,12 @@ def convert_genf_to_orig(mu, sigma, q, p):
     return GenFOrigParams(mu, sigma / delta, s1, s2)
 
 
-_CLASSES = (Exponential, Weibull, Gamma, Gompertz, LogNormal, LogLogistic,
-            GenGammaOrig, GenGamma, GenFOrig, GenF)
-DISTRIBUTION_TAGS = tuple(cls.tag for cls in _CLASSES)
-_BY_TAG = {cls.tag: cls for cls in _CLASSES}
-PARAM_NAMES = {cls.tag: cls.param_names for cls in _CLASSES}
+# every class that defines distribution methods, the two untagged cores included
+_CLASSES = (_GammaPower, _BetaPrimePower, Exponential, Weibull, Gamma, Gompertz,
+            LogNormal, LogLogistic, GenGammaOrig, GenGamma, GenFOrig, GenF)
+_BY_TAG = {cls.tag: cls for cls in _CLASSES if cls.tag}
+DISTRIBUTION_TAGS = tuple(_BY_TAG)
+PARAM_NAMES = {tag: cls.param_names for tag, cls in _BY_TAG.items()}
 
 # parameters that must be strictly positive at construction; gompertz shape
 # is a signed aging rate and deliberately absent

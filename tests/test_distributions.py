@@ -10,7 +10,8 @@ from mrlife import (DISTRIBUTION_TAGS, ParameterError, convert_genf_to_orig,
                     convert_gengamma_from_orig, convert_gengamma_to_orig,
                     make_distribution)
 from mrlife import specfun as sf
-from mrlife.distributions import GenFOrig, GenGamma, GenGammaOrig
+from mrlife.distributions import (_BY_TAG, _CLASSES, Distribution, GenFOrig, GenGamma,
+                                  GenGammaOrig)
 
 from conftest import sample_distribution, sample_params
 
@@ -96,6 +97,17 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="finite"):
             make_distribution("exponential", {"rate": float("inf")})
 
+    @pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
+    def test_methods_live_on_listed_classes(self, tag):
+        # per-class method wrappers (perfbench/tracer.py) patch vars() of
+        # Distribution and of distributions._CLASSES; a method inherited from
+        # any other class would escape them
+        listed = (Distribution,) + _CLASSES
+        for method in ("pdf", "cdf", "survival", "ln_survival", "ln_pdf",
+                       "quantile", "isf", "mean", "mrl"):
+            owner = next(c for c in _BY_TAG[tag].__mro__ if method in vars(c))
+            assert owner in listed, (tag, method, owner)
+
     def test_value_semantics(self):
         a = reference_dist("weibull")
         b = reference_dist("weibull")
@@ -139,6 +151,47 @@ class TestProbabilityLaw:
             assert math.exp(d.ln_survival(t)) == pytest.approx(d.survival(t),
                                                                rel=1e-11)
 
+    @pytest.mark.parametrize("tag,params,at_zero", [
+        ("exponential", {"rate": 0.5}, 0.5),
+        ("weibull", {"shape": 1.0, "scale": 2.0}, 0.5),
+        ("weibull", {"shape": 2.0, "scale": 2.0}, 0.0),
+        ("weibull", {"shape": 0.5, "scale": 2.0}, math.inf),
+        ("gamma", {"shape": 1.0, "rate": 0.4}, 0.4),
+        ("gamma", {"shape": 2.3, "rate": 0.4}, 0.0),
+        ("gamma", {"shape": 0.5, "rate": 0.4}, math.inf),
+        ("gompertz", {"shape": 0.5, "rate": 0.3}, 0.3),
+        ("gompertz", {"shape": -0.5, "rate": 0.3}, 0.3),
+        ("lnorm", {"meanlog": 0.3, "sdlog": 1.0}, 0.0),
+        ("llogis", {"shape": 1.0, "scale": 3.0}, 1.0 / 3.0),
+        ("llogis", {"shape": 2.5, "scale": 3.0}, 0.0),
+        ("llogis", {"shape": 0.8, "scale": 3.0}, math.inf),
+        ("gengamma.orig", {"shape": 1.0, "scale": 2.0, "k": 1.0}, 0.5),
+        ("gengamma.orig", {"shape": 1.5, "scale": 2.0, "k": 1.2}, 0.0),
+        ("gengamma.orig", {"shape": 0.5, "scale": 2.0, "k": 1.2}, math.inf),
+        ("gengamma", {"mu": 0.3, "sigma": 1.0, "Q": 1.0}, math.exp(-0.3)),
+        ("gengamma", {"mu": 0.3, "sigma": 0.7, "Q": 1.4}, 0.0),
+        ("gengamma", {"mu": 0.3, "sigma": 1.0, "Q": 2.0}, math.inf),
+        ("gengamma", {"mu": 0.2, "sigma": 0.6, "Q": -0.8}, 0.0),
+        ("genf.orig", {"mu": 0.0, "sigma": 1.0, "s1": 1.0, "s2": 3.0}, 1.0),
+        ("genf.orig", {"mu": 0.2, "sigma": 1.1, "s1": 2.0, "s2": 3.0}, 0.0),
+        ("genf.orig", {"mu": 0.2, "sigma": 1.0, "s1": 0.5, "s2": 3.0}, math.inf),
+        ("genf", {"mu": 0.0, "sigma": 1.2, "Q": 0.0, "P": 1.0}, 0.0),
+        ("genf", {"mu": 0.0, "sigma": 2.0, "Q": 0.0, "P": 1.0}, math.inf),
+    ])
+    def test_pdf_limits_at_zero_and_infinity(self, tag, params, at_zero):
+        # pdf ~ c * t**p near 0: 0 for p > 0, c for p = 0, +inf for p < 0;
+        # every density is 0 at t = inf
+        d = make_distribution(tag, params)
+        if math.isfinite(at_zero) and at_zero > 0.0:
+            assert d.pdf(0.0) == pytest.approx(at_zero, rel=1e-14)
+            assert d.pdf(1e-12) == pytest.approx(at_zero, rel=1e-9)
+        else:
+            assert d.pdf(0.0) == at_zero
+        assert d.ln_pdf(0.0) == pytest.approx(math.log(at_zero) if at_zero else -math.inf,
+                                              abs=1e-14)
+        assert d.pdf(math.inf) == 0.0
+        assert d.ln_pdf(math.inf) == -math.inf
+
     def test_negative_time_rejected(self):
         d = reference_dist("weibull")
         for method in (d.pdf, d.cdf, d.mrl):
@@ -150,6 +203,7 @@ class TestProbabilityLaw:
         w = make_distribution("weibull", {"shape": 1.0, "scale": scale})
         e = make_distribution("exponential", {"rate": 1.0 / scale})
         assert w.survival(0.7) == pytest.approx(e.survival(0.7), rel=1e-14)
+        assert w.pdf(0.0) == pytest.approx(e.pdf(0.0), rel=1e-14)
 
     def test_gengamma_orig_survival_identity(self):
         # survival = Gamma((t/a)^b, k) / Gamma(k); arranged so (t/a)^b = 1.3
@@ -203,6 +257,8 @@ class TestQuantiles:
             d.quantile(-0.01)
         with pytest.raises(ValueError):
             d.quantile(1.01)
+        assert d.isf(1.0) == 0.0
+        assert d.isf(0.0) == math.inf
 
     def test_exponential_median(self):
         d = make_distribution("exponential", {"rate": 2.0})

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mrlife import CensoredSample, censored_loglik, fit, make_distribution
+from mrlife import (CensoredSample, censored_loglik, convert_genf_to_orig, fit,
+                    make_distribution)
 from mrlife import fitting
 from mrlife import specfun as sf
 from mrlife.distributions import (_LN_2PI, PARAM_NAMES, POSITIVE_PARAMS, Weibull,
@@ -271,13 +272,28 @@ class TestLikelihoodLoop:
             assert 1 <= len(calls) <= 3
 
 
+def _gamma_power_terms(t, ln_scale, k, b):
+    """(ln_pdf, ln_survival) of T = exp(ln_scale) * G**(1/b), G ~ Gamma(k)."""
+    ln_z = b * (_log(t) - ln_scale)
+    ln_inc = sf.ln_upper_inc_gamma if b > 0.0 else sf.ln_lower_inc_gamma
+    return ((math.log(abs(b)) - sf.ln_gamma(k) - _log(t) + k * ln_z - _exp(ln_z)),
+            ln_inc(_exp(ln_z), k) - sf.ln_gamma(k))
+
+
+def _beta_prime_power_terms(t, mu, sigma, s1, s2):
+    """(ln_pdf, ln_survival) of T = exp(mu) * (s2/s1 * u)**sigma with
+    u ~ beta-prime(s1, s2)."""
+    ln_u = -mu / sigma + _log(s1 / s2) + _log(t) / sigma
+    return ((-math.log(sigma) - sf.ln_beta(s1, s2) - _log(t) + s1 * ln_u
+             - (s1 + s2) * _softplus(ln_u)),
+            sf.ln_reg_inc_beta(1.0 / (1.0 + _exp(ln_u)), s2, s1))
+
+
 def _uncached_terms(d, t):
     """(ln_pdf, ln_survival) from the formulas without cached constants."""
     tag = d.tag
     if tag == "gamma":
-        return ((d.shape * math.log(d.rate) + (d.shape - 1.0) * _log(t)
-                 - d.rate * t - sf.ln_gamma(d.shape)),
-                sf.ln_upper_inc_gamma(d.rate * t, d.shape) - sf.ln_gamma(d.shape))
+        return _gamma_power_terms(t, -math.log(d.rate), d.shape, 1.0)
     if tag == "gompertz":
         return math.log(d.rate) + d.shape * t + d.ln_survival(t), d.ln_survival(t)
     if tag == "lnorm":
@@ -285,36 +301,17 @@ def _uncached_terms(d, t):
         return (-_log(t) - math.log(d.sdlog) - 0.5 * _LN_2PI
                 - 0.5 * w * w), d.ln_survival(t)
     if tag == "llogis":
-        ln_ratio = _log(t / d.scale)
-        return ((math.log(d.shape / d.scale) + (d.shape - 1.0) * ln_ratio
-                 - 2.0 * _softplus(d.shape * ln_ratio)), d.ln_survival(t))
+        ln_pdf, _ = _beta_prime_power_terms(t, math.log(d.scale), 1.0 / d.shape, 1.0, 1.0)
+        return ln_pdf, -_softplus(d.shape * _log(t / d.scale))
     if tag == "gengamma.orig":
-        bk = d.shape * d.k
-        z = d._z(t)
-        return ((math.log(d.shape) + (bk - 1.0) * _log(t) - bk * math.log(d.scale)
-                 - sf.ln_gamma(d.k) - z),
-                sf.ln_upper_inc_gamma(z, d.k) - sf.ln_gamma(d.k))
+        return _gamma_power_terms(t, math.log(d.scale), d.k, d.shape)
     if tag == "gengamma":
-        k = d.q ** -2
-        qw = d.q * ((_log(t) - d.mu) / d.sigma)
-        z = d._z(t)
-        ln_inc = sf.ln_upper_inc_gamma if d.q > 0.0 else sf.ln_lower_inc_gamma
-        return ((math.log(abs(d.q)) + k * math.log(k) - sf.ln_gamma(k)
-                 - math.log(d.sigma) - _log(t) + k * (qw - _exp(qw))),
-                ln_inc(z, k) - sf.ln_gamma(k))
+        ln_scale = d.mu + 2.0 * (d.sigma / d.q) * math.log(abs(d.q))
+        return _gamma_power_terms(t, ln_scale, d.q ** -2, d.q / d.sigma)
     if tag == "genf.orig":
-        ln_u = (-d.mu / d.sigma + math.log(d.s1 / d.s2) + _log(t) / d.sigma)
-        return ((-math.log(d.sigma) - _log(t) - sf.ln_beta(d.s1, d.s2)
-                 + d.s1 * ln_u - (d.s1 + d.s2) * _softplus(ln_u)),
-                sf.ln_reg_inc_beta(1.0 / (1.0 + _exp(ln_u)), d.s2, d.s1))
+        return _beta_prime_power_terms(t, d.mu, d.sigma, d.s1, d.s2)
     if tag == "genf":
-        o = d._orig
-        delta = math.sqrt(d.q * d.q + 2.0 * d.p)
-        ln_u = (-d.mu * delta / d.sigma + math.log(o.s1 / o.s2)
-                + (delta / d.sigma) * _log(t))
-        return ((math.log(delta) - math.log(d.sigma) - _log(t)
-                 - sf.ln_beta(o.s1, o.s2) + o.s1 * ln_u
-                 - (o.s1 + o.s2) * _softplus(ln_u)), _uncached_terms(o, t)[1])
+        return _beta_prime_power_terms(t, *convert_genf_to_orig(d.mu, d.sigma, d.q, d.p))
     raise KeyError(tag)
 
 

@@ -1,7 +1,7 @@
-"""Pins for the two tail-moment helpers behind every closed-form mrl.
+"""Pins for the two family cores behind every closed-form mrl.
 
-The gamma-type helper serves weibull, gamma, gengamma.orig and gengamma;
-the beta-prime-type helper serves llogis, genf.orig and genf.  Families
+The gamma-power core carries weibull, gamma, gengamma.orig and gengamma;
+the beta-prime-power core carries llogis, genf.orig and genf.  Families
 that nest exactly must agree on pdf, survival and mrl to rounding, and
 gengamma with Q < 0 right at the edge of a finite mean (sigma close to
 1/|Q|) must stay finite and agree with the quadrature oracle wherever that
