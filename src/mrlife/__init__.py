@@ -44,7 +44,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    # fitting pulls in numpy and scipy.optimize; load it on first use only
+    # fitting pulls in numpy; load it on first use only
     if name in ("CensoredSample", "FitResult", "censored_loglik", "fit"):
         from . import fitting
         return getattr(fitting, name)

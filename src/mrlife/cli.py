@@ -11,6 +11,8 @@ Rendered tables honour ``--format table|csv|json`` (default from the
 MRLIFE_FORMAT environment variable, falling back to ``table``).  Exit
 codes: 0 success, 2 usage error (bad flags, bad parameter names), 1
 computation/data error (bad factor level, missing columns, ...).
+``mrlife --version`` prints the package version and the active kernel
+backend (``specfun.BACKEND``).
 """
 import csv
 import io
@@ -20,6 +22,7 @@ import sys
 
 import click
 
+from . import __version__, specfun
 from .distributions import DISTRIBUTION_TAGS, ParameterError, make_distribution
 from .regression import DataError, load_model, predict_residual_life, save_model
 from .residual import (RESIDUAL_TYPES, ResidualLifeQuery, ResidualLifeTable,
@@ -211,6 +214,8 @@ def render_fit_csv(result):
 # ---------------------------------------------------------------------------
 
 @click.group()
+@click.version_option(__version__, prog_name="mrlife",
+                      message=f"%(prog)s %(version)s ({specfun.BACKEND} kernels)")
 def main():
     """Closed-form residual-lifetime toolkit for parametric survival models."""
 
@@ -258,7 +263,7 @@ def residlife(values, dist, params, p, rtype, fmt):
 @_format_option
 def fit(data_path, time_col, event_col, dist, covariates, out_path, fmt):
     """Fit a distribution to right-censored data by maximum likelihood."""
-    from .fitting import CensoredSample, fit as fit_mle  # numpy, scipy: fit only
+    from .fitting import CensoredSample, fit as fit_mle  # numpy: fit only
     if dist not in DISTRIBUTION_TAGS:
         raise click.UsageError(
             f"unknown distribution '{dist}'; choose one of {', '.join(DISTRIBUTION_TAGS)}")

@@ -3,17 +3,18 @@
 Parameters are maximized on an unconstrained scale (log transform for
 strictly positive parameters, identity for the rest) with a derivative-free
 Nelder-Mead simplex plus deterministic restarts from perturbed optima.
-Standard errors come from the inverse of a central-finite-difference
-Hessian at the optimum, mapped back to the natural scale by the delta
-method; 95% intervals are est*exp(+-1.96*se) for log-scale parameters and
-est +- 1.96*se otherwise.
+The simplex is this module's ``minimize``: the adaptive Nelder-Mead of
+Gao & Han (2012), which takes the same steps as scipy's, so fitting needs
+numpy but not scipy.  Standard errors come from the inverse of a
+central-finite-difference Hessian at the optimum, mapped back to the
+natural scale by the delta method; 95% intervals are est*exp(+-1.96*se)
+for log-scale parameters and est +- 1.96*se otherwise.
 """
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import (DISTRIBUTION_TAGS, Distribution, PARAM_NAMES,
                             POSITIVE_PARAMS, make_distribution)
@@ -263,14 +264,14 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
 
     options = dict(maxiter=5000, maxfev=10000, xatol=1e-9, fatol=1e-12,
                    adaptive=len(theta0) > 2)
-    best = minimize(objective, theta0, method="Nelder-Mead", options=options)
+    best = minimize(objective, theta0, **options)
     iterations = best.nit
     converged = bool(best.success)
     for restart in range(3):
         step = 1e-3 * (restart + 1)
         perturbed = best.x + step * (1.0 + np.abs(best.x)) * \
             np.where((np.arange(len(best.x)) + restart) % 2 == 0, 1.0, -1.0)
-        retry = minimize(objective, perturbed, method="Nelder-Mead", options=options)
+        retry = minimize(objective, perturbed, **options)
         iterations += retry.nit
         improvement = best.fun - retry.fun
         if retry.fun < best.fun:
@@ -322,6 +323,106 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         n_events=int(np.sum(event == 1.0)),
     )
     return result, model
+
+
+@dataclass(frozen=True)
+class NelderMeadResult:
+    """Best vertex and value of one ``minimize`` run, with its costs."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    """``maxfev`` evaluations are spent; the step in progress is dropped."""
+
+
+def _ranked(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def minimize(fun, x0, *, maxiter, maxfev, xatol, fatol, adaptive):
+    """Minimize ``fun`` from ``x0`` with the Nelder-Mead simplex.
+
+    The steps are those of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    with the same options, to the bit: the same initial simplex (a 5% step
+    per coordinate, 0.00025 for a zero one), the same arithmetic, and the
+    same ``np.argsort`` ranking, so ties such as ``_BIG`` resolve alike.
+    ``adaptive`` scales the expansion, contraction and shrink coefficients
+    with the dimension (Gao & Han 2012, Comput. Optim. Appl. 51(1)).  The
+    search stops when every vertex is within ``xatol`` and every value
+    within ``fatol`` of the best; ``success`` is false when ``maxfev``
+    evaluations or ``maxiter`` iterations stop it first.  ``fun`` gets a
+    copy of each point.
+    """
+    x0 = np.array(x0, dtype=float).ravel()
+    n = len(x0)
+    if adaptive:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(np.copy(x))
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    # ranked twice, as scipy does: a second argsort may reorder ties
+    sim, fsim = _ranked(*_ranked(sim, fsim))
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]  # scipy's rho is 1: no factor changes bits
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:  # expand
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside or inside, else shrink toward the best
+                if fxr < fsim[-1]:
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = _ranked(sim, fsim)
+    return NelderMeadResult(x=sim[0], fun=float(np.min(fsim)), nit=iterations,
+                            nfev=nfev,
+                            success=nfev < maxfev and iterations < maxiter)
 
 
 def _hessian_std_errors(objective, theta):

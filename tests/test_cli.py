@@ -224,17 +224,56 @@ def _gengamma_mrl_mpmath(mu, sigma, q, x):
         return float(scale * ratio - x)
 
 
-def test_cli_import_leaves_out_scipy_and_numpy():
-    # residlife, predict and curve need neither; fit imports them itself
+def _run_python(code, *argv):
     import mrlife
     src = str(Path(mrlife.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_out_scipy_and_numpy():
+    # residlife, predict and curve need neither; fit imports numpy itself
     code = ("import sys, mrlife.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'numpy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_fit_leaves_out_scipy(tmp_path):
+    # the optimizer is fitting.minimize; scipy is left to the quadrature oracle
+    time, event = weibull_censored_sample(60, 1.5, 4.0, 0.2, seed=3)
+    path = tmp_path / "sample.csv"
+    write_csv(path, {"t": list(time), "status": [int(e) for e in event],
+                     "group": ["ab"[i % 2] for i in range(60)]})
+    code = ("import sys, mrlife.fitting\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "from mrlife.cli import main\n"
+            "main(['fit', '--data', sys.argv[1], '--time', 't', '--event', 'status',\n"
+            "      '--dist', 'weibull', '--covariates', 'group', '--format', 'json'],\n"
+            "     standalone_mode=False)\n"
+            "print(scipy())\n")
+    lines = _run_python(code, str(path)).strip().splitlines()
+    assert lines[0] == "[]"
+    assert json.loads("\n".join(lines[1:-1]))["converged"] is True
+    assert lines[-1] == "[]"
+
+
+def test_version_names_package_and_backend():
+    import mrlife
+    from mrlife import specfun
+    result = run(["--version"])
+    assert result.exit_code == 0
+    assert result.output == f"mrlife {mrlife.__version__} ({specfun.BACKEND} kernels)\n"
+
+
+def test_version_matches_pyproject():
+    import re
+    import mrlife
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+    assert declared and declared.group(1) == mrlife.__version__
 
 
 @pytest.fixture

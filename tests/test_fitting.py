@@ -272,6 +272,97 @@ class TestLikelihoodLoop:
             assert 1 <= len(calls) <= 3
 
 
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _walled_bowl(x):
+    """A bowl centred at 2 in every coordinate, walled off at _BIG past
+    sum(x) = 4.02, so a simplex from (1, 1, 1, 1) starts with four ties."""
+    if np.sum(x) > 4.02:
+        return fitting._BIG
+    return float(np.sum((x - 2.0) ** 2) + 0.1 * x[0] * x[1])
+
+
+_FIT_OPTIONS = dict(maxiter=5000, maxfev=10000, xatol=1e-9, fatol=1e-12)
+
+# (objective, x0, options); adaptive is on when there are more than two
+# coordinates, as in fit()
+_NELDER_MEAD_CASES = {
+    "plain k=2": (_rosenbrock, [-1.2, 1.0], _FIT_OPTIONS),
+    "adaptive k=4": (_rosenbrock, [-1.2, 1.0, -0.5, 0.8], _FIT_OPTIONS),
+    "zero coordinate": (_rosenbrock, [0.0, 1.5, -0.5], _FIT_OPTIONS),
+    "ties at _BIG": (_walled_bowl, [1.0, 1.0, 1.0, 1.0], _FIT_OPTIONS),
+    "maxfev": (_rosenbrock, [-1.2, 1.0, -0.5, 0.8], dict(_FIT_OPTIONS, maxfev=57)),
+    "maxfev in the first simplex": (_rosenbrock, [-1.2, 1.0, -0.5, 0.8],
+                                    dict(_FIT_OPTIONS, maxfev=3)),
+    "maxiter": (_rosenbrock, [-1.2, 1.0], dict(_FIT_OPTIONS, maxiter=40)),
+}
+
+
+def _evaluations(minimizer, fun, x0, **kwargs):
+    """Run ``minimizer`` and return its result and every point ``fun`` saw."""
+    seen = []
+
+    def logged(x):
+        seen.append(tuple(float(v).hex() for v in x))
+        return fun(x)
+
+    return minimizer(logged, np.array(x0, dtype=float), **kwargs), seen
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("case", list(_NELDER_MEAD_CASES))
+    def test_matches_scipy_bit_for_bit(self, case):
+        from scipy.optimize import minimize as scipy_minimize  # oracle only
+
+        fun, x0, options = _NELDER_MEAD_CASES[case]
+        options = dict(options, adaptive=len(x0) > 2)
+        ours, our_points = _evaluations(fitting.minimize, fun, x0, **options)
+        theirs, their_points = _evaluations(scipy_minimize, fun, x0,
+                                            method="Nelder-Mead", options=options)
+        assert our_points == their_points
+        assert [float(v).hex() for v in ours.x] == [float(v).hex() for v in theirs.x]
+        assert _same_bits(ours.fun, theirs.fun)
+        assert (ours.nit, ours.nfev, ours.success) == \
+            (theirs.nit, theirs.nfev, bool(theirs.success))
+
+    def test_cases_reach_every_stop(self):
+        results = {case: fitting.minimize(fun, np.array(x0, dtype=float),
+                                          adaptive=len(x0) > 2, **options)
+                   for case, (fun, x0, options) in _NELDER_MEAD_CASES.items()}
+        assert results["plain k=2"].success and results["adaptive k=4"].success
+        assert results["maxfev"].nfev == 57 and not results["maxfev"].success
+        assert results["maxfev in the first simplex"].nit == 1
+        assert results["maxiter"].nit == 40 and not results["maxiter"].success
+        walled = results["ties at _BIG"]
+        assert walled.success and 4.0 < np.sum(walled.x) <= 4.02  # on the wall
+
+    def test_fit_objective_matches_scipy(self, monkeypatch):
+        from scipy.optimize import minimize as scipy_minimize  # oracle only
+
+        sample = _factor_sample("weibull", seed=47)
+        objective, theta0 = _objective(monkeypatch, "weibull", sample)
+        monkeypatch.undo()
+        options = dict(_FIT_OPTIONS, adaptive=True)
+        ours, our_points = _evaluations(fitting.minimize, objective, theta0, **options)
+        theirs, their_points = _evaluations(scipy_minimize, objective, theta0,
+                                            method="Nelder-Mead", options=options)
+        assert our_points == their_points
+        assert (ours.nit, ours.nfev, ours.success) == \
+            (theirs.nit, theirs.nfev, bool(theirs.success))
+
+    def test_objective_gets_a_copy(self):
+        def scribble(x):
+            value = _rosenbrock(x)
+            x[:] = np.nan
+            return value
+
+        result = fitting.minimize(scribble, np.array([-1.2, 1.0]),
+                                  adaptive=False, **_FIT_OPTIONS)
+        assert result.success and np.all(np.isfinite(result.x))
+
+
 def _gamma_power_terms(t, ln_scale, k, b):
     """(ln_pdf, ln_survival) of T = exp(ln_scale) * G**(1/b), G ~ Gamma(k)."""
     ln_z = b * (_log(t) - ln_scale)
