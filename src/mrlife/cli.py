@@ -24,7 +24,8 @@ import click
 
 from . import __version__, specfun
 from .distributions import DISTRIBUTION_TAGS, ParameterError, make_distribution
-from .regression import DataError, load_model, predict_residual_life, save_model
+from .regression import (DataError, load_model, predict_residual_life, rows_of,
+                         save_model)
 from .residual import (RESIDUAL_TYPES, ResidualLifeQuery, ResidualLifeTable,
                        residual_life_table)
 
@@ -98,12 +99,6 @@ def read_data_csv(path):
         except (TypeError, ValueError):
             columns[name] = [str(v) for v in col]
     return columns
-
-
-def _rows_of(columns):
-    names = list(columns)
-    n = len(columns[names[0]]) if names else 0
-    return [{name: columns[name][i] for name in names} for i in range(n)]
 
 
 def _build_dist(dist, params):
@@ -306,7 +301,9 @@ def _load_predict_inputs(model_path, newdata_path):
         raise click.ClickException(f"cannot load model {model_path}: {exc}")
     rows = None
     if newdata_path:
-        rows = _rows_of(read_data_csv(newdata_path))
+        columns = read_data_csv(newdata_path)
+        names = list(columns)
+        rows = rows_of(columns, names, len(columns[names[0]]) if names else 0)
     return model, rows
 
 

@@ -9,6 +9,11 @@ numpy but not scipy.  Standard errors come from the inverse of a
 central-finite-difference Hessian at the optimum, mapped back to the
 natural scale by the delta method; 95% intervals are est*exp(+-1.96*se)
 for log-scale parameters and est +- 1.96*se otherwise.
+
+One likelihood core, ``_loglik``, serves ``censored_loglik`` and the fit
+objective, and the location comes from ``regression.linear_predictor`` in
+both, so the ``loglik`` a fit reports equals ``censored_loglik`` of the
+model it returns, to the bit.
 """
 import math
 from dataclasses import dataclass
@@ -17,9 +22,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import (DISTRIBUTION_TAGS, Distribution, PARAM_NAMES,
-                            POSITIVE_PARAMS, make_distribution)
+                            POSITIVE_PARAMS, _exp, make_distribution)
 from .regression import (Covariate, CovariateSchema, LOCATION_PARAMS,
-                         SurvivalModel)
+                         SurvivalModel, distinct_design_rows, linear_predictor,
+                         rows_of)
 
 _BIG = 1e12
 _Z95 = 1.96
@@ -49,8 +55,8 @@ class CensoredSample:
     def validate(self):
         if self.time.ndim != 1 or self.event.shape != self.time.shape:
             raise ValueError("time and event must be equal-length vectors")
-        if not np.all(self.time > 0.0):
-            raise ValueError("all times must be positive")
+        if not np.all((self.time > 0.0) & np.isfinite(self.time)):
+            raise ValueError("all times must be positive and finite")
         if not np.all((self.event == 0.0) | (self.event == 1.0)):
             raise ValueError("event indicators must be 0 (censored) or 1 (observed)")
         if not np.any(self.event == 1.0):
@@ -59,6 +65,9 @@ class CensoredSample:
             for name, col in self.covariates.items():
                 if len(col) != len(self.time):
                     raise ValueError(f"covariate column '{name}' length mismatch")
+                if any(isinstance(v, float) and not math.isfinite(v) for v in col):
+                    raise ValueError(f"covariate column '{name}' has a "
+                                     f"non-finite value")
 
     def __len__(self):
         return len(self.time)
@@ -78,21 +87,45 @@ class FitResult:
     n_events: int
 
 
-def _vectorized_terms(tag, params, t):
-    """(ln_pdf, ln_survival) arrays for the numpy-expressible families."""
-    with np.errstate(over="ignore"):  # overflow saturates to a -inf loglik
-        if tag == "exponential":
-            rate = params["rate"]
-            ls = -rate * t
-            lp = np.log(rate) + ls
-            return lp, ls
-        if tag == "weibull":
-            shape, scale = params["shape"], params["scale"]
-            ln_ratio = np.log(t) - np.log(scale)
-            cum = np.exp(shape * ln_ratio)
-            lp = np.log(shape) - np.log(scale) + (shape - 1.0) * ln_ratio - cum
-            return lp, -cum
-    raise KeyError(tag)
+def _loglik(tag, params, locations, groups, sample):
+    """Censored log likelihood of ``tag`` with ``params`` and, on row i, the
+    location ``locations[groups[i]]``: ``censored_loglik`` and ``fit``'s
+    objective both call it.  Exponential and weibull terms are numpy
+    expressions; every other family builds one distribution per distinct
+    location, as rows reach it, and sums the scalar terms in row order.
+    NaN when the sum is not finite; ParameterError outside the domain.
+    """
+    if tag in _VECTORIZED_TAGS:
+        loc = np.array(locations)[groups]  # exponential rate, weibull scale
+        t = sample.time
+        with np.errstate(over="ignore"):  # overflow saturates to a -inf loglik
+            if tag == "exponential":
+                ls = -loc * t
+                lp = np.log(loc) + ls
+            else:
+                shape = params["shape"]
+                ln_ratio = np.log(t) - np.log(loc)
+                ls = -np.exp(shape * ln_ratio)
+                lp = np.log(shape) - np.log(loc) + (shape - 1.0) * ln_ratio + ls
+        total = float(np.sum(np.where(sample.event == 1.0, lp, ls)))
+        return total if math.isfinite(total) else float("nan")
+    location = LOCATION_PARAMS[tag][0]
+    params = dict(params)
+    dists = {}  # groups that share a location value share a distribution
+    total = 0.0
+    # Python floats: on numpy scalars every step of the scalar kernels is
+    # slower (a gamma ln_survival: 4.4 us against 7.1 us)
+    for group, ti, ei in zip(groups.tolist(), sample.time.tolist(),
+                             sample.event.tolist()):
+        loc = locations[group]
+        d = dists.get(loc)
+        if d is None:
+            params[location] = loc
+            d = dists[loc] = make_distribution(tag, params)
+        total += d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
+        if not math.isfinite(total):
+            return float("nan")
+    return total
 
 
 def censored_loglik(obj, sample: CensoredSample) -> float:
@@ -101,46 +134,22 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
     ``obj`` is a Distribution (same parameters for every row) or a
     SurvivalModel (per-row parameters through its covariate schema, using
     the sample's covariate columns).  Returns NaN when any contributing
-    density or survival term is zero or undefined.
+    density or survival term is zero or undefined.  For a model returned
+    by ``fit`` this is, to the bit, the ``loglik`` that ``fit`` reported.
     """
-    t = sample.time
-    event = sample.event
     if isinstance(obj, Distribution):
-        if obj.tag in _VECTORIZED_TAGS:
-            lp, ls = _vectorized_terms(obj.tag, obj.params(), t)
-            terms = np.where(event == 1.0, lp, ls)
-        else:
-            terms = np.array([
-                obj.ln_pdf(ti) if ei == 1.0 else obj.ln_survival(ti)
-                for ti, ei in zip(t.tolist(), event.tolist())
-            ])
-    elif isinstance(obj, SurvivalModel):
-        if sample.covariates is None and obj.schema.covariates:
-            raise ValueError("sample has no covariate columns for this model")
-        rows = _sample_rows(sample, [c.name for c in obj.schema.covariates])
-        terms = np.empty(len(t))
-        dists = {}  # one distribution per distinct design row
-        for i, (row, ti, ei) in enumerate(zip(rows, t.tolist(), event.tolist())):
-            design = obj.schema.design_row(row)
-            key = tuple(design)
-            dist = dists.get(key)
-            if dist is None:
-                dist = dists[key] = obj.resolve_parameters(design)
-            terms[i] = dist.ln_pdf(ti) if ei == 1.0 else dist.ln_survival(ti)
-    else:
-        raise TypeError("expected a Distribution or SurvivalModel")
-    total = float(np.sum(terms))
-    if not math.isfinite(total):
-        return float("nan")
-    return total
-
-
-def _sample_rows(sample, names):
-    cols = sample.covariates or {}
-    for name in names:
-        if name not in cols:
-            raise ValueError(f"covariate column '{name}' not in sample")
-    return [{name: cols[name][i] for name in names} for i in range(len(sample))]
+        params = obj.params()
+        locations = [params[LOCATION_PARAMS[obj.tag][0]]]
+        groups = np.zeros(len(sample), dtype=int)
+        return _loglik(obj.tag, params, locations, groups, sample)
+    if isinstance(obj, SurvivalModel):
+        names = [c.name for c in obj.schema.covariates]
+        rows = rows_of(sample.covariates or {}, names, len(sample))
+        designs, groups = distinct_design_rows(obj.schema, rows)
+        locations = [linear_predictor(obj.dist, obj.coefficients, design)
+                     for design in designs]
+        return _loglik(obj.dist, obj.baseline, locations, np.array(groups), sample)
+    raise TypeError("expected a Distribution or SurvivalModel")
 
 
 def infer_schema(columns: Dict[str, list], names: Sequence[str]) -> CovariateSchema:
@@ -190,73 +199,31 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         raise ValueError(f"unknown distribution '{dist}'")
     sample.validate()
     param_names = PARAM_NAMES[dist]
-    location, link = LOCATION_PARAMS[dist]
 
-    schema = (infer_schema(sample.covariates or {}, covariates)
-              if covariates else CovariateSchema())
+    schema = infer_schema(sample.covariates or {}, covariates)
     design_cols = schema.column_names
-    if covariates:
-        rows = _sample_rows(sample, list(covariates))
-        design = np.array([schema.design_row(r) for r in rows])
-    else:
-        rows = None
-        design = np.zeros((len(sample), 0))
+    rows = rows_of(sample.covariates or {}, list(covariates), len(sample))
+    designs, groups = distinct_design_rows(schema, rows)
+    groups = np.array(groups)
 
     start = _start_values(dist, sample)
     theta0 = np.array([_transform(dist, name, start[name]) for name in param_names]
                       + [0.0] * len(design_cols))
-    loc_index = param_names.index(location)
-    t = sample.time
-    event = sample.event
-    vectorized = dist in _VECTORIZED_TAGS
-    # Python floats for the per-row loop: on numpy scalars every step of the
-    # scalar kernels is slower (a gamma ln_survival: 4.4 us against 7.1 us)
-    t_list = t.tolist()
-    observed = (event == 1.0).tolist()
-
-    def unpack(theta):
-        values = theta.tolist()
-        params = {name: _back_transform(dist, name, values[i])
-                  for i, name in enumerate(param_names)}
-        betas = theta[len(param_names):]
-        return params, betas
-
-    def build(params):
-        try:
-            return make_distribution(dist, params)
-        except ValueError:  # outside the family's domain
-            return None
+    loc_index = param_names.index(LOCATION_PARAMS[dist][0])
+    n_params = len(param_names)
 
     def loglik(theta):
-        params, betas = unpack(theta)
-        eta = theta[loc_index] + design @ betas if len(betas) else theta[loc_index]
-        loc = np.exp(eta) if link == "log" else eta
-        if vectorized:
-            pr = dict(params)
-            pr[location] = loc
-            lp, ls = _vectorized_terms(dist, pr, t)
-            total = float(np.sum(np.where(event == 1.0, lp, ls)))
-            return total if math.isfinite(total) else float("nan")
-        if len(betas):
-            # one distribution per distinct location value, summed in row order
-            dists = {}
-            total = 0.0
-            for ti, obs, li in zip(t_list, observed, loc.tolist()):
-                d = dists.get(li)
-                if d is None:
-                    params[location] = li
-                    d = dists[li] = build(params)
-                    if d is None:
-                        return float("nan")
-                total += d.ln_pdf(ti) if obs else d.ln_survival(ti)
-                if not math.isfinite(total):
-                    return float("nan")
-            return total
-        params[location] = float(loc)
-        d = build(params)
-        if d is None:
+        values = theta.tolist()
+        # intercept first: the location slot of theta, then the design betas
+        coefficients = [values[loc_index]] + values[n_params:]
+        try:
+            params = {name: _back_transform(dist, name, values[i])
+                      for i, name in enumerate(param_names)}
+            locations = [linear_predictor(dist, coefficients, design)
+                         for design in designs]
+            return _loglik(dist, params, locations, groups, sample)
+        except (ValueError, ArithmeticError):  # outside the domain or float range
             return float("nan")
-        return censored_loglik(d, sample)
 
     def objective(theta):
         value = loglik(theta)
@@ -282,6 +249,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
 
     theta_hat = best.x
     final_loglik = loglik(theta_hat)
+    converged = converged and math.isfinite(final_loglik)
 
     se_t = _hessian_std_errors(objective, theta_hat)
     names = list(param_names) + design_cols
@@ -295,22 +263,20 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         if log_scale:
             estimates[name] = est
             std_errors[name] = est * se
-            ci95[name] = (est * math.exp(-_Z95 * se), est * math.exp(_Z95 * se))
+            ci95[name] = (est * _exp(-_Z95 * se), est * _exp(_Z95 * se))
         else:
             estimates[name] = est
             std_errors[name] = se
             ci95[name] = (est - _Z95 * se, est + _Z95 * se)
 
     baseline = {name: estimates[name] for name in param_names}
-    # intercept first: the location slot of theta, then the design betas
-    coefficients = (float(theta_hat[loc_index]),) + tuple(
-        float(v) for v in theta_hat[len(param_names):])
+    values = theta_hat.tolist()
     model = SurvivalModel(
         dist=dist,
         baseline=baseline,
-        coefficients=coefficients,
+        coefficients=tuple([values[loc_index]] + values[n_params:]),
         schema=schema,
-        training_rows=tuple(rows) if rows is not None else None,
+        training_rows=tuple(rows) if covariates else None,
     )
     result = FitResult(
         estimates=estimates,
@@ -320,7 +286,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         converged=converged,
         iterations=int(iterations),
         n=len(sample),
-        n_events=int(np.sum(event == 1.0)),
+        n_events=int(np.sum(sample.event == 1.0)),
     )
     return result, model
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .distributions import Distribution, make_distribution
+from .distributions import Distribution, ParameterError, make_distribution
 from .residual import ResidualLifeQuery, ResidualLifeTable, residual_life_table
 
 MODEL_SCHEMA_VERSION = 1
@@ -123,6 +123,51 @@ def build_design_row(schema: CovariateSchema, row) -> List[float]:
     return schema.design_row(row)
 
 
+def rows_of(columns, names, n) -> List[dict]:
+    """The first ``n`` rows of equal-length ``columns`` as mappings of
+    ``names`` to values; a name missing from ``columns`` raises ValueError."""
+    for name in names:
+        if name not in columns:
+            raise ValueError(f"covariate column '{name}' not in sample")
+    return [{name: columns[name][i] for name in names} for i in range(n)]
+
+
+def distinct_design_rows(schema: CovariateSchema, rows):
+    """(designs, group_of_row): the distinct design rows of ``rows`` in
+    order of first appearance, and each row's index into them.  Every row
+    is encoded, so a bad one raises even when its pattern was seen."""
+    designs, group_of_row, index = [], [], {}
+    for row in rows:
+        design = schema.design_row(row)
+        key = tuple(design)
+        group = index.get(key)
+        if group is None:
+            group = index[key] = len(designs)
+            designs.append(design)
+        group_of_row.append(group)
+    return designs, group_of_row
+
+
+def linear_predictor(dist: str, coefficients: Sequence[float],
+                     design_row: Sequence[float]) -> float:
+    """Location parameter of ``dist`` for one design row: eta = intercept +
+    sum of beta * value, or exp(eta) under the log link (ParameterError
+    when that overflows)."""
+    if len(design_row) != len(coefficients) - 1:
+        raise DataError(f"design row has {len(design_row)} columns; "
+                        f"model expects {len(coefficients) - 1}",
+                        code="bad_design_row")
+    eta = coefficients[0]
+    for beta, value in zip(coefficients[1:], design_row):
+        eta += beta * value
+    if LOCATION_PARAMS[dist][1] != "log":
+        return eta
+    try:
+        return math.exp(eta)
+    except OverflowError:
+        raise ParameterError(f"linear predictor {eta!r} overflows exp()") from None
+
+
 @dataclass(frozen=True)
 class SurvivalModel:
     """Fitted or user-supplied survival model with a covariate linear predictor.
@@ -149,15 +194,9 @@ class SurvivalModel:
 
     def resolve_parameters(self, design_row: Sequence[float]) -> Distribution:
         """Distribution for one design row: linear predictor into the location."""
-        expected = len(self.coefficients) - 1
-        if len(design_row) != expected:
-            raise DataError(f"design row has {len(design_row)} columns; "
-                            f"model expects {expected}", code="bad_design_row")
-        eta = self.coefficients[0]
-        for beta, value in zip(self.coefficients[1:], design_row):
-            eta += beta * value
         params = dict(self.baseline)
-        params[self.location_param] = math.exp(eta) if self.link == "log" else eta
+        params[self.location_param] = linear_predictor(
+            self.dist, self.coefficients, design_row)
         return make_distribution(self.dist, params)
 
     def resolve_row(self, row) -> Distribution:
@@ -186,17 +225,13 @@ def predict_residual_life(model: SurvivalModel, life, p=0.5, type="mean",
             rows = model.training_rows
     query = ResidualLifeQuery(values=[life], p=p, type=type)
     query.validate()
+    designs, group_of_row = distinct_design_rows(model.schema, rows)
+    tables = [residual_life_table(model.resolve_parameters(design), query)
+              for design in designs]
     table = ResidualLifeTable(values=[])
-    tables = {}  # one table per distinct design row; every row is still checked
-    for row in rows:
-        design = model.schema.design_row(row)
-        key = tuple(design)
-        one = tables.get(key)
-        if one is None:
-            one = tables[key] = residual_life_table(
-                model.resolve_parameters(design), query)
+    for group in group_of_row:
         table.values.append(float(life))
-        for name, col in one.columns.items():
+        for name, col in tables[group].columns.items():
             table.columns.setdefault(name, []).extend(col)
     return table
 

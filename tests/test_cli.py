@@ -323,6 +323,17 @@ class TestFitCommand:
                    "--event", "status", "--dist", "weibull"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("column", ["t", "x"])
+    def test_non_finite_value_exit_1(self, tmp_path, column):
+        columns = {"t": [1.0, 2.0, 3.0], "status": [1, 0, 1], "x": [0.1, 0.2, 0.3]}
+        columns[column][1] = {"t": "inf", "x": "nan"}[column]
+        path = tmp_path / "nonfinite.csv"
+        write_csv(path, columns)
+        res = run(["fit", "--data", str(path), "--time", "t", "--event",
+                   "status", "--dist", "weibull", "--covariates", "x"])
+        assert res.exit_code == 1
+        assert "Error:" in res.output and "finite" in res.output
+
     def test_non_binary_event_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv(path, {"t": [1.0, 2.0], "status": [1, 2]})
@@ -410,6 +421,16 @@ class TestPredictCommand:
                    "--life", "4", "--format", "csv"])
         assert res.exit_code == 0
         assert len(parse_csv(res.output)["mean"]) == 500
+
+    def test_overflowing_linear_predictor_exit_1(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "dist": "weibull",
+            "baseline": {"shape": 1.4, "scale": 1.0},
+            "coefficients": [800.0], "covariates": []}))
+        res = run(["predict", "--model", str(path), "--life", "1"])
+        assert res.exit_code == 1
+        assert "Error:" in res.output and "overflows" in res.output
 
     def test_nonpositive_life_exit_2(self, fitted_covariate_model):
         res = run(["predict", "--model", str(fitted_covariate_model),

@@ -8,7 +8,8 @@ from mrlife import (CensoredSample, censored_loglik, convert_genf_to_orig, fit,
                     make_distribution)
 from mrlife import fitting
 from mrlife import specfun as sf
-from mrlife.distributions import (_LN_2PI, PARAM_NAMES, POSITIVE_PARAMS, Weibull,
+from mrlife.distributions import (_LN_2PI, DISTRIBUTION_TAGS, PARAM_NAMES,
+                                  POSITIVE_PARAMS, Weibull,
                                   _exp, _log, _softplus)
 from mrlife.regression import LOCATION_PARAMS
 
@@ -36,6 +37,12 @@ class TestCensoredSample:
             CensoredSample.from_lists([1.0, 2.0], [1])
         with pytest.raises(ValueError, match="length mismatch"):
             CensoredSample.from_lists([1.0, 2.0], [1, 0], {"g": ["a"]})
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CensoredSample.from_lists([1.0, math.inf], [1, 0])
+        with pytest.raises(ValueError, match="'x' has a non-finite value"):
+            CensoredSample.from_lists([1.0, 2.0], [1, 0], {"x": [0.5, math.nan]})
 
 
 class TestCensoredLoglik:
@@ -181,24 +188,65 @@ class TestFit:
         with pytest.raises(ValueError, match="unknown distribution"):
             fit("weibullish", sample)
 
+    def test_huge_standard_error_saturates_the_interval(self, monkeypatch):
+        time, event = weibull_censored_sample(50, 1.4, 3.0, 0.2, seed=11)
+        monkeypatch.setattr(fitting, "_hessian_std_errors",
+                            lambda objective, theta: np.full(len(theta), 400.0))
+        result, _ = fit("weibull", CensoredSample.from_lists(time, event))
+        assert result.ci95["shape"] == (0.0, math.inf)
 
-def _factor_sample(tag, seed, n=45):
-    """Seeded censored sample with a 3-level factor shifting the location."""
+    def test_non_finite_final_loglik_is_not_converged(self, monkeypatch):
+        time, event = weibull_censored_sample(50, 1.4, 3.0, 0.2, seed=11)
+        monkeypatch.setattr(fitting, "_loglik", lambda *args: math.nan)
+        result, _ = fit("weibull", CensoredSample.from_lists(time, event))
+        assert math.isnan(result.loglik)
+        assert not result.converged
+
+
+# covariate names per kind of design, for _covariate_sample
+_DESIGNS = {"none": (), "factor": ("group",), "numeric": ("x",)}
+
+
+class TestReportedLoglik:
+    @pytest.mark.parametrize("design", list(_DESIGNS))
+    @pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
+    def test_is_censored_loglik_of_the_returned_model(self, monkeypatch, tag,
+                                                      design):
+        # the identity holds wherever the simplex stops: a small budget
+        # keeps the slow families quick
+        uncapped = fitting.minimize
+        monkeypatch.setattr(fitting, "minimize", lambda fun, x0, **options:
+                            uncapped(fun, x0, **dict(options, maxfev=300)))
+        sample = _covariate_sample(tag, DISTRIBUTION_TAGS.index(tag) + 71,
+                                   numeric=design == "numeric")
+        if design == "none":
+            sample = CensoredSample.from_lists(sample.time, sample.event)
+        result, model = fit(tag, sample, _DESIGNS[design])
+        assert math.isfinite(result.loglik)
+        assert _same_bits(result.loglik, censored_loglik(model, sample))
+
+
+def _covariate_sample(tag, seed, numeric=False, n=45):
+    """Seeded censored sample whose location a 3-level factor "group" shifts
+    by -0.3, 0 or 0.3, or with ``numeric``, a covariate x ~ U(-1, 1) by 0.3 x."""
     rng = np.random.default_rng(seed)
     base = sample_params(tag, rng)
     location, link = LOCATION_PARAMS[tag]
-    groups, times = [], []
+    values, times = [], []
     for i in range(n):
-        level = i % 3
         params = dict(base)
-        shift = 0.3 * (level - 1)
+        if numeric:
+            value = float(rng.uniform(-1.0, 1.0))
+            shift = 0.3 * value
+        else:
+            value, shift = _LEVELS[i % 3], 0.3 * (i % 3 - 1)
         params[location] = (params[location] * math.exp(shift) if link == "log"
                             else params[location] + shift)
-        groups.append(_LEVELS[level])
+        values.append(value)
         times.append(make_distribution(tag, params).isf(float(rng.uniform(0.02, 0.98))))
     event = (rng.uniform(size=n) < 0.7).astype(float)
     event[0] = 1.0
-    return CensoredSample.from_lists(times, event, {"group": groups})
+    return CensoredSample.from_lists(times, event, {"x" if numeric else "group": values})
 
 
 class _Captured(Exception):
@@ -249,15 +297,24 @@ def _thetas(theta0):
 class TestLikelihoodLoop:
     @pytest.mark.parametrize("tag", _LOOP_TAGS)
     def test_objective_matches_per_row_loop_bit_for_bit(self, monkeypatch, tag):
-        sample = _factor_sample(tag, seed=_LOOP_TAGS.index(tag) + 41)
+        sample = _covariate_sample(tag, seed=_LOOP_TAGS.index(tag) + 41)
         objective, theta0 = _objective(monkeypatch, tag, sample)
         for theta in _thetas(theta0):
             expected = _naive_objective(tag, sample, theta)
             assert math.isfinite(expected)
             assert _same_bits(objective(theta), expected), (tag, theta)
 
+    @pytest.mark.parametrize("tag", ["weibull", "gamma"])
+    def test_overflowing_location_is_outside_the_domain(self, monkeypatch, tag):
+        sample = _covariate_sample(tag, seed=51)
+        objective, theta0 = _objective(monkeypatch, tag, sample)
+        for index in (PARAM_NAMES[tag].index(LOCATION_PARAMS[tag][0]), -1):
+            theta = theta0.copy()
+            theta[index] = 800.0  # exp(800) overflows: the intercept, a beta
+            assert objective(theta) == fitting._BIG
+
     def test_one_distribution_per_level_per_evaluation(self, monkeypatch):
-        sample = _factor_sample("gamma", seed=43)
+        sample = _covariate_sample("gamma", seed=43)
         objective, theta0 = _objective(monkeypatch, "gamma", sample)
         calls = []
 
@@ -341,7 +398,7 @@ class TestMinimize:
     def test_fit_objective_matches_scipy(self, monkeypatch):
         from scipy.optimize import minimize as scipy_minimize  # oracle only
 
-        sample = _factor_sample("weibull", seed=47)
+        sample = _covariate_sample("weibull", seed=47)
         objective, theta0 = _objective(monkeypatch, "weibull", sample)
         monkeypatch.undo()
         options = dict(_FIT_OPTIONS, adaptive=True)

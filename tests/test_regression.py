@@ -3,12 +3,14 @@ import math
 
 import pytest
 
-from mrlife import (Covariate, CovariateSchema, DataError, MissingColumnError,
-                    SurvivalModel, UnknownLevelError, build_design_row,
+from mrlife import (CensoredSample, Covariate, CovariateSchema, DataError,
+                    MissingColumnError, ParameterError, SurvivalModel,
+                    UnknownLevelError, build_design_row, censored_loglik,
                     load_model, make_distribution, mean_residual_life,
                     percentile_residual_life, predict_residual_life,
                     save_model)
-from mrlife.regression import model_from_dict, model_to_dict
+from mrlife.regression import (distinct_design_rows, model_from_dict,
+                               model_to_dict, rows_of)
 
 GROUP = Covariate(name="group", kind="categorical",
                   levels=("Good", "Medium", "Poor"))
@@ -59,6 +61,19 @@ class TestDesignRows:
         with pytest.raises(ValueError, match="levels"):
             Covariate(name="group", kind="categorical")
 
+    def test_distinct_design_rows_checks_every_row(self):
+        rows = rows_of({"age": [43, 35, 43], "group": ["Medium", "Good", "Medium"]},
+                       ["age", "group"], 3)
+        assert distinct_design_rows(SCHEMA, rows) == \
+            ([[43.0, 1.0, 0.0], [35.0, 0.0, 0.0]], [0, 1, 0])
+        rows.append({"age": 43})  # a seen pattern's values, a column short
+        with pytest.raises(MissingColumnError):
+            distinct_design_rows(SCHEMA, rows)
+
+    def test_rows_of_names_a_missing_column(self):
+        with pytest.raises(ValueError, match="'group' not in sample"):
+            rows_of({"age": [43]}, ["age", "group"], 1)
+
 
 class TestResolveParameters:
     def test_zero_coefficients_log_link(self):
@@ -83,6 +98,14 @@ class TestResolveParameters:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="design row"):
             weibull_model().resolve_parameters([1.0])
+
+    def test_overflowing_linear_predictor_is_a_parameter_error(self):
+        model = SurvivalModel(dist="weibull", baseline={"shape": 1.4, "scale": 1.0},
+                              coefficients=(800.0,))
+        with pytest.raises(ParameterError, match="overflows"):
+            model.resolve_parameters([])
+        with pytest.raises(ParameterError, match="overflows"):
+            censored_loglik(model, CensoredSample.from_lists([1.0, 2.0], [1, 0]))
 
 
 class TestPredict:
