@@ -1,12 +1,11 @@
 """Maximum-likelihood fitting of the survival families to right-censored data.
 
 Parameters are maximized on an unconstrained scale (log transform for
-strictly positive parameters, identity for the rest) with a derivative-free
-Nelder-Mead simplex plus deterministic restarts from perturbed optima.
-The simplex is this module's ``minimize``: the adaptive Nelder-Mead of
-Gao & Han (2012), which takes the same steps as scipy's, so fitting needs
-numpy but not scipy.  Standard errors come from the inverse of a
-central-finite-difference Hessian at the optimum, mapped back to the
+strictly positive parameters, identity for the rest) by one BFGS run,
+this module's ``minimize``: central-difference gradients, an Armijo
+backtracking line search, and a stop on the predicted decrease, so
+fitting needs numpy but not scipy.  Standard errors come from the inverse
+of a central-finite-difference Hessian at the optimum, mapped back to the
 natural scale by the delta method; 95% intervals are est*exp(+-1.96*se)
 for log-scale parameters and est +- 1.96*se otherwise.
 
@@ -98,7 +97,8 @@ def _loglik(tag, params, locations, groups, sample):
     if tag in _VECTORIZED_TAGS:
         loc = np.array(locations)[groups]  # exponential rate, weibull scale
         t = sample.time
-        with np.errstate(over="ignore"):  # overflow saturates to a -inf loglik
+        # overflow saturates to a -inf loglik; an underflowed location gives NaN
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if tag == "exponential":
                 ls = -loc * t
                 lp = np.log(loc) + ls
@@ -229,27 +229,10 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         value = loglik(theta)
         return -value if math.isfinite(value) else _BIG
 
-    options = dict(maxiter=5000, maxfev=10000, xatol=1e-9, fatol=1e-12,
-                   adaptive=len(theta0) > 2)
-    best = minimize(objective, theta0, **options)
-    iterations = best.nit
-    converged = bool(best.success)
-    for restart in range(3):
-        step = 1e-3 * (restart + 1)
-        perturbed = best.x + step * (1.0 + np.abs(best.x)) * \
-            np.where((np.arange(len(best.x)) + restart) % 2 == 0, 1.0, -1.0)
-        retry = minimize(objective, perturbed, **options)
-        iterations += retry.nit
-        improvement = best.fun - retry.fun
-        if retry.fun < best.fun:
-            best = retry
-            converged = bool(retry.success)
-        if improvement <= 1e-10 * (1.0 + abs(best.fun)):
-            break
-
+    best = minimize(objective, theta0, maxiter=5000, maxfev=10000)
     theta_hat = best.x
     final_loglik = loglik(theta_hat)
-    converged = converged and math.isfinite(final_loglik)
+    converged = best.success and math.isfinite(final_loglik)
 
     se_t = _hessian_std_errors(objective, theta_hat)
     names = list(param_names) + design_cols
@@ -284,7 +267,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         ci95=ci95,
         loglik=final_loglik,
         converged=converged,
-        iterations=int(iterations),
+        iterations=best.nit,
         n=len(sample),
         n_events=int(np.sum(sample.event == 1.0)),
     )
@@ -292,8 +275,8 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
 
 
 @dataclass(frozen=True)
-class NelderMeadResult:
-    """Best vertex and value of one ``minimize`` run, with its costs."""
+class MinimizeResult:
+    """Last accepted point and value of one ``minimize`` run, with its costs."""
 
     x: np.ndarray
     fun: float
@@ -306,89 +289,100 @@ class _BudgetSpent(Exception):
     """``maxfev`` evaluations are spent; the step in progress is dropped."""
 
 
-def _ranked(sim, fsim):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+def minimize(fun, x0, *, maxiter, maxfev):
+    """Minimize ``fun`` from ``x0`` by BFGS with central-difference gradients.
 
-
-def minimize(fun, x0, *, maxiter, maxfev, xatol, fatol, adaptive):
-    """Minimize ``fun`` from ``x0`` with the Nelder-Mead simplex.
-
-    The steps are those of ``scipy.optimize.minimize(method="Nelder-Mead")``
-    with the same options, to the bit: the same initial simplex (a 5% step
-    per coordinate, 0.00025 for a zero one), the same arithmetic, and the
-    same ``np.argsort`` ranking, so ties such as ``_BIG`` resolve alike.
-    ``adaptive`` scales the expansion, contraction and shrink coefficients
-    with the dimension (Gao & Han 2012, Comput. Optim. Appl. 51(1)).  The
-    search stops when every vertex is within ``xatol`` and every value
-    within ``fatol`` of the best; ``success`` is false when ``maxfev``
-    evaluations or ``maxiter`` iterations stop it first.  ``fun`` gets a
-    copy of each point.
+    The gradient takes central differences with steps h_i = 1e-5 (1 + |x_i|)
+    for every objective: ``fit`` passes no analytic scores.  The inverse
+    Hessian starts as I / max(1, |g|_inf), so no coordinate moves more than
+    1 in the first step, is rescaled after it (Nocedal & Wright 2006, eq.
+    6.20) and then follows the BFGS update (eq. 6.17), skipped when s'y is
+    not positive.  Each step backtracks from the full step, by a safeguarded
+    quadratic, until the Armijo condition holds; ``_BIG`` and non-finite
+    values count as no decrease.  The search succeeds when the predicted
+    decrease g'Hg/2 is at most 1e-12 (1 + |f|); a gradient-norm stop would
+    sit at the level of the finite-difference noise.  ``success`` is false
+    when the line search finds no decrease or ``maxiter`` iterations or
+    ``maxfev`` evaluations stop it first.  ``fun`` gets a copy of each point.
     """
-    x0 = np.array(x0, dtype=float).ravel()
-    n = len(x0)
-    if adaptive:
-        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    else:
-        chi, psi, sigma = 2, 0.5, 0.5
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-
+    x = np.array(x0, dtype=float).ravel()
+    n = len(x)
     nfev = 0
 
-    def evaluate(x):
+    def evaluate(point):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(np.copy(x))
+        return fun(np.copy(point))
 
-    fsim = np.full(n + 1, np.inf)
+    def gradient(point):
+        g = np.empty(n)
+        for i in range(n):
+            h = 1e-5 * (1.0 + abs(point[i]))
+            up, down = point.copy(), point.copy()
+            up[i] += h
+            down[i] -= h
+            g[i] = (evaluate(up) - evaluate(down)) / (up[i] - down[i])
+        return g
+
+    def line_search(point, f0, p, slope):
+        """Armijo step length along ``p`` and its value, or None when no
+        representable step decreases ``fun``."""
+        alpha = 1.0
+        while not np.all(point + alpha * p == point):
+            f_new = evaluate(point + alpha * p)
+            if not (math.isfinite(f_new) and f_new < _BIG):
+                alpha *= 0.1
+            elif f_new <= f0 + 1e-4 * alpha * slope:
+                return alpha, f_new
+            else:  # minimizer of the quadratic through f0, slope and f_new
+                trial = -slope * alpha ** 2 / (2.0 * (f_new - f0 - slope * alpha))
+                alpha = min(max(trial, 0.1 * alpha), 0.5 * alpha)
+        return None
+
+    def scaled_identity(g):  # no coordinate of the step -H g exceeds 1
+        return np.eye(n) / max(1.0, float(np.max(np.abs(g))))
+
+    f, nit, success = math.inf, 0, False
     try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
+        f = evaluate(x)
+        g = gradient(x)
+        hess_inv = scaled_identity(g)
+        first_step = True
+        while True:
+            p = -hess_inv @ g
+            slope = float(g @ p)
+            if not slope <= 0.0:  # rounding cost positive definiteness: restart
+                hess_inv = scaled_identity(g)
+                p = -hess_inv @ g
+                slope = float(g @ p)
+            if -0.5 * slope <= 1e-12 * (1.0 + abs(f)):
+                success = True
+                break
+            if nit >= maxiter:
+                break
+            found = line_search(x, f, p, slope)
+            if found is None:
+                break
+            alpha, f_new = found
+            s = alpha * p
+            x_new = x + s
+            g_new = gradient(x_new)
+            y = g_new - g
+            sy = float(s @ y)
+            if sy > 0.0:
+                if first_step:
+                    hess_inv = np.eye(n) * (sy / float(y @ y))
+                rho = 1.0 / sy
+                v = np.eye(n) - rho * np.outer(s, y)
+                hess_inv = v @ hess_inv @ v.T + rho * np.outer(s, s)
+            first_step = False
+            x, f, g = x_new, f_new, g_new
+            nit += 1
     except _BudgetSpent:
         pass
-    # ranked twice, as scipy does: a second argsort may reorder ties
-    sim, fsim = _ranked(*_ranked(sim, fsim))
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]  # scipy's rho is 1: no factor changes bits
-            fxr = evaluate(xr)
-            if fxr < fsim[0]:  # expand
-                xe = (1 + chi) * xbar - chi * sim[-1]
-                fxe = evaluate(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:  # reflect
-                sim[-1], fsim[-1] = xr, fxr
-            else:  # contract outside or inside, else shrink toward the best
-                if fxr < fsim[-1]:
-                    xc = (1 + psi) * xbar - psi * sim[-1]
-                    fxc = evaluate(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = evaluate(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = evaluate(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        sim, fsim = _ranked(sim, fsim)
-    return NelderMeadResult(x=sim[0], fun=float(np.min(fsim)), nit=iterations,
-                            nfev=nfev,
-                            success=nfev < maxfev and iterations < maxiter)
+    return MinimizeResult(x=x, fun=float(f), nit=nit, nfev=nfev, success=success)
 
 
 def _hessian_std_errors(objective, theta):

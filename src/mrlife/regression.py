@@ -14,7 +14,8 @@ rows so that predictions without new data keep working after a reload.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .distributions import Distribution, ParameterError, make_distribution
 from .residual import ResidualLifeQuery, ResidualLifeTable, residual_life_table
@@ -123,13 +124,30 @@ def build_design_row(schema: CovariateSchema, row) -> List[float]:
     return schema.design_row(row)
 
 
-def rows_of(columns, names, n) -> List[dict]:
-    """The first ``n`` rows of equal-length ``columns`` as mappings of
-    ``names`` to values; a name missing from ``columns`` raises ValueError."""
+def rows_of(columns, names, n) -> List[MappingProxyType]:
+    """The first ``n`` rows of equal-length ``columns`` as read-only mappings
+    of ``names`` to values, shared per distinct row (see ``_shared_rows``); a
+    name missing from ``columns`` raises ValueError."""
     for name in names:
         if name not in columns:
             raise ValueError(f"covariate column '{name}' not in sample")
-    return [{name: columns[name][i] for name in names} for i in range(n)]
+    return _shared_rows({name: columns[name][i] for name in names}
+                        for i in range(n))
+
+
+def _shared_rows(rows) -> List[MappingProxyType]:
+    """Each of ``rows`` as a read-only mapping, one object per distinct row,
+    so a model keeps one mapping per covariate pattern rather than one per
+    observation.  Rows are told apart by ``repr``, which keeps 1, 1.0, True
+    and '1', or 0.0 and -0.0, apart."""
+    shared, out = {}, []
+    for row in rows:
+        key = repr(row)
+        proxy = shared.get(key)
+        if proxy is None:
+            proxy = shared[key] = MappingProxyType(dict(row))
+        out.append(proxy)
+    return out
 
 
 def distinct_design_rows(schema: CovariateSchema, rows):
@@ -182,7 +200,7 @@ class SurvivalModel:
     baseline: Dict[str, float]
     coefficients: Tuple[float, ...]
     schema: CovariateSchema = field(default_factory=CovariateSchema)
-    training_rows: Optional[Tuple[dict, ...]] = None
+    training_rows: Optional[Tuple[Mapping, ...]] = None
 
     @property
     def location_param(self):
@@ -266,12 +284,15 @@ def model_from_dict(doc: dict) -> SurvivalModel:
         for c in doc.get("covariates", ())
     )
     rows = doc.get("training_rows")
+    if rows is not None and not all(isinstance(row, dict) for row in rows):
+        raise DataError("training_rows must be a list of objects",
+                        code="bad_model_file")
     return SurvivalModel(
         dist=doc["dist"],
         baseline={k: float(v) for k, v in doc["baseline"].items()},
         coefficients=tuple(float(c) for c in doc["coefficients"]),
         schema=CovariateSchema(covs),
-        training_rows=tuple(rows) if rows is not None else None,
+        training_rows=tuple(_shared_rows(rows)) if rows is not None else None,
     )
 
 

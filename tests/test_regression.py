@@ -1,11 +1,14 @@
 """Covariate schema, survival-model prediction and model-file tests."""
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
 from mrlife import (CensoredSample, Covariate, CovariateSchema, DataError,
                     MissingColumnError, ParameterError, SurvivalModel,
-                    UnknownLevelError, build_design_row, censored_loglik,
+                    UnknownLevelError, build_design_row, censored_loglik, fit,
                     load_model, make_distribution, mean_residual_life,
                     percentile_residual_life, predict_residual_life,
                     save_model)
@@ -209,6 +212,37 @@ class TestModelFile:
         doc["schema_version"] = 999
         with pytest.raises(DataError, match="schema_version"):
             model_from_dict(doc)
+
+    def test_training_rows_are_shared_per_pattern(self, tmp_path):
+        rng = np.random.default_rng(59)
+        groups = [str(g) for g in rng.choice(["Good", "Medium", "Poor"], size=200)]
+        t = 4.0 * rng.weibull(1.4, size=200)
+        sample = CensoredSample.from_lists(t, np.ones(200), {"group": groups})
+        _, model = fit("weibull", sample, ["group"])
+        assert len({id(row) for row in model.training_rows}) == 3
+        with pytest.raises(TypeError):
+            model.training_rows[0]["group"] = "Poor"
+        plain = dataclasses.replace(
+            model, training_rows=tuple({"group": g} for g in groups))
+        assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(plain))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded == model
+        assert len({id(row) for row in loaded.training_rows}) == 3
+
+    def test_training_rows_must_be_objects(self):
+        doc = model_to_dict(weibull_model())
+        doc["training_rows"] = [{"age": 1.0, "group": "Good"}, 1.0]
+        with pytest.raises(DataError, match="training_rows"):
+            model_from_dict(doc)
+
+    def test_rows_of_keeps_equal_looking_values_apart(self):
+        values = [1, 1.0, True, "1", 0.0, -0.0, 1.0]
+        rows = rows_of({"x": values}, ["x"], len(values))
+        assert [repr(row["x"]) for row in rows] == [repr(v) for v in values]
+        assert rows[1] is rows[6]
+        assert len({id(row) for row in rows}) == 6
 
     def test_document_shape(self):
         doc = model_to_dict(weibull_model(training_rows=({"age": 1.0,
