@@ -19,6 +19,7 @@ from . import specfun
 from .distributions import (DISTRIBUTION_TAGS, Distribution, ParameterError,
                             convert_genf_to_orig, convert_gengamma_from_orig,
                             convert_gengamma_to_orig, make_distribution)
+from .fitting import CensoredSample, FitResult, censored_loglik, fit
 from .regression import (Covariate, CovariateSchema, DataError,
                          MissingColumnError, SurvivalModel, UnknownLevelError,
                          build_design_row, load_model, predict_residual_life,
@@ -42,10 +43,3 @@ __all__ = [
     "save_model", "specfun",
 ]
 
-
-def __getattr__(name):
-    # fitting pulls in numpy; load it on first use only
-    if name in ("CensoredSample", "FitResult", "censored_loglik", "fit"):
-        from . import fitting
-        return getattr(fitting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,11 @@ form.  It is imported only when the oracle runs, since it pulls in scipy.
 import math
 import warnings
 
-from scipy.integrate import IntegrationWarning, quad
+try:
+    from scipy.integrate import IntegrationWarning, quad
+except ImportError as exc:
+    raise ImportError("mrl_quadrature_oracle needs scipy: "
+                      "pip install mrlife[oracle]") from exc
 
 _INF = float("inf")
 _NAN = float("nan")

@@ -24,6 +24,7 @@ import click
 
 from . import __version__, specfun
 from .distributions import DISTRIBUTION_TAGS, ParameterError, make_distribution
+from .fitting import CensoredSample, fit as fit_mle
 from .regression import (DataError, load_model, predict_residual_life, rows_of,
                          save_model)
 from .residual import (RESIDUAL_TYPES, ResidualLifeQuery, ResidualLifeTable,
@@ -258,7 +259,6 @@ def residlife(values, dist, params, p, rtype, fmt):
 @_format_option
 def fit(data_path, time_col, event_col, dist, covariates, out_path, fmt):
     """Fit a distribution to right-censored data by maximum likelihood."""
-    from .fitting import CensoredSample, fit as fit_mle  # numpy: fit only
     if dist not in DISTRIBUTION_TAGS:
         raise click.UsageError(
             f"unknown distribution '{dist}'; choose one of {', '.join(DISTRIBUTION_TAGS)}")

@@ -3,11 +3,13 @@
 Parameters are maximized on an unconstrained scale (log transform for
 strictly positive parameters, identity for the rest) by one BFGS run,
 this module's ``minimize``: central-difference gradients, an Armijo
-backtracking line search, and a stop on the predicted decrease, so
-fitting needs numpy but not scipy.  Standard errors come from the inverse
-of a central-finite-difference Hessian at the optimum, mapped back to the
-natural scale by the delta method; 95% intervals are est*exp(+-1.96*se)
-for log-scale parameters and est +- 1.96*se otherwise.
+backtracking line search, and a stop on the predicted decrease, all on
+Python lists, so fitting needs no array library.  Standard errors
+come from the inverse of a central-finite-difference Hessian at the
+optimum, through its Cholesky factor, mapped back to the natural scale by
+the delta method; a Hessian that is not positive definite gives NaN for
+every standard error.  95% intervals are est*exp(+-1.96*se) for log-scale
+parameters and est +- 1.96*se otherwise.
 
 One likelihood core, ``_loglik``, serves ``censored_loglik`` and the fit
 objective, and the location comes from ``regression.linear_predictor`` in
@@ -15,10 +17,9 @@ both, so the ``loglik`` a fit reports equals ``censored_loglik`` of the
 model it returns, to the bit.
 """
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .distributions import (DISTRIBUTION_TAGS, Distribution, PARAM_NAMES,
                             POSITIVE_PARAMS, _exp, make_distribution)
@@ -29,42 +30,41 @@ from .regression import (Covariate, CovariateSchema, LOCATION_PARAMS,
 _BIG = 1e12
 _Z95 = 1.96
 
-# tags whose likelihood terms have straight numpy expressions (hot paths)
-_VECTORIZED_TAGS = ("exponential", "weibull")
-
 
 @dataclass(frozen=True)
 class CensoredSample:
     """Right-censored observations: times, event flags, optional covariates."""
 
-    time: np.ndarray
-    event: np.ndarray
+    time: Tuple[float, ...]
+    event: Tuple[float, ...]
     covariates: Optional[Dict[str, list]] = None
 
     @staticmethod
     def from_lists(time, event, covariates=None):
-        sample = CensoredSample(
-            time=np.asarray(time, dtype=float),
-            event=np.asarray(event, dtype=float),
-            covariates=covariates,
-        )
+        """A validated sample from sequences of real numbers, arrays included."""
+        try:
+            sample = CensoredSample(tuple(map(float, time)), tuple(map(float, event)),
+                                    covariates)
+        except TypeError:  # a scalar, or a sequence of sequences
+            raise ValueError("time and event must be equal-length vectors") from None
         sample.validate()
         return sample
 
     def validate(self):
-        if self.time.ndim != 1 or self.event.shape != self.time.shape:
+        if len(self.event) != len(self.time):
             raise ValueError("time and event must be equal-length vectors")
-        if not np.all((self.time > 0.0) & np.isfinite(self.time)):
+        if not all(t > 0.0 and math.isfinite(t) for t in self.time):
             raise ValueError("all times must be positive and finite")
-        if not np.all((self.event == 0.0) | (self.event == 1.0)):
+        if not all(e == 0.0 or e == 1.0 for e in self.event):
             raise ValueError("event indicators must be 0 (censored) or 1 (observed)")
-        if not np.any(self.event == 1.0):
+        if 1.0 not in self.event:
             raise ValueError("no observed events in the sample")
         if self.covariates is not None:
             for name, col in self.covariates.items():
                 if len(col) != len(self.time):
                     raise ValueError(f"covariate column '{name}' length mismatch")
-                if any(isinstance(v, float) and not math.isfinite(v) for v in col):
+                if any(isinstance(v, numbers.Real) and not math.isfinite(v)
+                       for v in col):
                     raise ValueError(f"covariate column '{name}' has a "
                                      f"non-finite value")
 
@@ -89,34 +89,15 @@ class FitResult:
 def _loglik(tag, params, locations, groups, sample):
     """Censored log likelihood of ``tag`` with ``params`` and, on row i, the
     location ``locations[groups[i]]``: ``censored_loglik`` and ``fit``'s
-    objective both call it.  Exponential and weibull terms are numpy
-    expressions; every other family builds one distribution per distinct
+    objective both call it.  It builds one distribution per distinct
     location, as rows reach it, and sums the scalar terms in row order.
     NaN when the sum is not finite; ParameterError outside the domain.
     """
-    if tag in _VECTORIZED_TAGS:
-        loc = np.array(locations)[groups]  # exponential rate, weibull scale
-        t = sample.time
-        # overflow saturates to a -inf loglik; an underflowed location gives NaN
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if tag == "exponential":
-                ls = -loc * t
-                lp = np.log(loc) + ls
-            else:
-                shape = params["shape"]
-                ln_ratio = np.log(t) - np.log(loc)
-                ls = -np.exp(shape * ln_ratio)
-                lp = np.log(shape) - np.log(loc) + (shape - 1.0) * ln_ratio + ls
-        total = float(np.sum(np.where(sample.event == 1.0, lp, ls)))
-        return total if math.isfinite(total) else float("nan")
     location = LOCATION_PARAMS[tag][0]
     params = dict(params)
     dists = {}  # groups that share a location value share a distribution
     total = 0.0
-    # Python floats: on numpy scalars every step of the scalar kernels is
-    # slower (a gamma ln_survival: 4.4 us against 7.1 us)
-    for group, ti, ei in zip(groups.tolist(), sample.time.tolist(),
-                             sample.event.tolist()):
+    for group, ti, ei in zip(groups, sample.time, sample.event):
         loc = locations[group]
         d = dists.get(loc)
         if d is None:
@@ -140,7 +121,7 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
     if isinstance(obj, Distribution):
         params = obj.params()
         locations = [params[LOCATION_PARAMS[obj.tag][0]]]
-        groups = np.zeros(len(sample), dtype=int)
+        groups = [0] * len(sample)
         return _loglik(obj.tag, params, locations, groups, sample)
     if isinstance(obj, SurvivalModel):
         names = [c.name for c in obj.schema.covariates]
@@ -148,7 +129,7 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
         designs, groups = distinct_design_rows(obj.schema, rows)
         locations = [linear_predictor(obj.dist, obj.coefficients, design)
                      for design in designs]
-        return _loglik(obj.dist, obj.baseline, locations, np.array(groups), sample)
+        return _loglik(obj.dist, obj.baseline, locations, groups, sample)
     raise TypeError("expected a Distribution or SurvivalModel")
 
 
@@ -160,7 +141,8 @@ def infer_schema(columns: Dict[str, list], names: Sequence[str]) -> CovariateSch
         if name not in columns:
             raise ValueError(f"covariate column '{name}' not found")
         values = columns[name]
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in values):
             covs.append(Covariate(name=name, kind="numeric"))
         else:
             levels = tuple(sorted({str(v) for v in values}))
@@ -169,9 +151,9 @@ def infer_schema(columns: Dict[str, list], names: Sequence[str]) -> CovariateSch
 
 
 def _start_values(tag, sample):
-    events = sample.time[sample.event == 1.0]
-    tbar = float(np.mean(events))
-    mean_log = float(np.mean(np.log(events)))
+    events = [t for t, e in zip(sample.time, sample.event) if e == 1.0]
+    tbar = math.fsum(events) / len(events)
+    mean_log = math.fsum(map(math.log, events)) / len(events)
     defaults = {
         "rate": 1.0 / tbar, "scale": tbar, "shape": 1.0, "k": 1.0,
         "meanlog": mean_log, "sdlog": 1.0, "mu": mean_log, "sigma": 1.0,
@@ -204,16 +186,15 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     design_cols = schema.column_names
     rows = rows_of(sample.covariates or {}, list(covariates), len(sample))
     designs, groups = distinct_design_rows(schema, rows)
-    groups = np.array(groups)
 
     start = _start_values(dist, sample)
-    theta0 = np.array([_transform(dist, name, start[name]) for name in param_names]
-                      + [0.0] * len(design_cols))
+    theta0 = ([_transform(dist, name, start[name]) for name in param_names]
+              + [0.0] * len(design_cols))
     loc_index = param_names.index(LOCATION_PARAMS[dist][0])
     n_params = len(param_names)
 
     def loglik(theta):
-        values = theta.tolist()
+        values = [float(v) for v in theta]
         # intercept first: the location slot of theta, then the design betas
         coefficients = [values[loc_index]] + values[n_params:]
         try:
@@ -238,26 +219,21 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     names = list(param_names) + design_cols
     estimates, std_errors, ci95 = {}, {}, {}
     for i, name in enumerate(names):
-        is_param = i < len(param_names)
-        log_scale = is_param and name in POSITIVE_PARAMS[dist]
-        raw = float(theta_hat[i])
-        est = math.exp(raw) if log_scale else raw
-        se = float(se_t[i])
-        if log_scale:
-            estimates[name] = est
+        est, se = theta_hat[i], se_t[i]
+        if i < n_params and name in POSITIVE_PARAMS[dist]:
+            est = math.exp(est)
             std_errors[name] = est * se
             ci95[name] = (est * _exp(-_Z95 * se), est * _exp(_Z95 * se))
         else:
-            estimates[name] = est
             std_errors[name] = se
             ci95[name] = (est - _Z95 * se, est + _Z95 * se)
+        estimates[name] = est
 
     baseline = {name: estimates[name] for name in param_names}
-    values = theta_hat.tolist()
     model = SurvivalModel(
         dist=dist,
         baseline=baseline,
-        coefficients=tuple([values[loc_index]] + values[n_params:]),
+        coefficients=tuple([theta_hat[loc_index]] + theta_hat[n_params:]),
         schema=schema,
         training_rows=tuple(rows) if covariates else None,
     )
@@ -269,7 +245,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         converged=converged,
         iterations=best.nit,
         n=len(sample),
-        n_events=int(np.sum(sample.event == 1.0)),
+        n_events=sample.event.count(1.0),
     )
     return result, model
 
@@ -278,7 +254,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
 class MinimizeResult:
     """Last accepted point and value of one ``minimize`` run, with its costs."""
 
-    x: np.ndarray
+    x: List[float]
     fun: float
     nit: int
     nfev: int
@@ -305,7 +281,7 @@ def minimize(fun, x0, *, maxiter, maxfev):
     when the line search finds no decrease or ``maxiter`` iterations or
     ``maxfev`` evaluations stop it first.  ``fun`` gets a copy of each point.
     """
-    x = np.array(x0, dtype=float).ravel()
+    x = [float(v) for v in x0]
     n = len(x)
     nfev = 0
 
@@ -314,24 +290,24 @@ def minimize(fun, x0, *, maxiter, maxfev):
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(np.copy(point))
+        return fun(list(point))
 
     def gradient(point):
-        g = np.empty(n)
+        g = []
         for i in range(n):
             h = 1e-5 * (1.0 + abs(point[i]))
-            up, down = point.copy(), point.copy()
+            up, down = list(point), list(point)
             up[i] += h
             down[i] -= h
-            g[i] = (evaluate(up) - evaluate(down)) / (up[i] - down[i])
+            g.append((evaluate(up) - evaluate(down)) / (up[i] - down[i]))
         return g
 
     def line_search(point, f0, p, slope):
         """Armijo step length along ``p`` and its value, or None when no
         representable step decreases ``fun``."""
         alpha = 1.0
-        while not np.all(point + alpha * p == point):
-            f_new = evaluate(point + alpha * p)
+        while any(xi + alpha * pi != xi for xi, pi in zip(point, p)):
+            f_new = evaluate([xi + alpha * pi for xi, pi in zip(point, p)])
             if not (math.isfinite(f_new) and f_new < _BIG):
                 alpha *= 0.1
             elif f_new <= f0 + 1e-4 * alpha * slope:
@@ -341,8 +317,11 @@ def minimize(fun, x0, *, maxiter, maxfev):
                 alpha = min(max(trial, 0.1 * alpha), 0.5 * alpha)
         return None
 
+    def diagonal(value):
+        return [[value if i == j else 0.0 for j in range(n)] for i in range(n)]
+
     def scaled_identity(g):  # no coordinate of the step -H g exceeds 1
-        return np.eye(n) / max(1.0, float(np.max(np.abs(g))))
+        return diagonal(1.0 / max(1.0, max(abs(gi) for gi in g)))
 
     f, nit, success = math.inf, 0, False
     try:
@@ -351,12 +330,12 @@ def minimize(fun, x0, *, maxiter, maxfev):
         hess_inv = scaled_identity(g)
         first_step = True
         while True:
-            p = -hess_inv @ g
-            slope = float(g @ p)
+            p = [-_dot(row, g) for row in hess_inv]
+            slope = _dot(g, p)
             if not slope <= 0.0:  # rounding cost positive definiteness: restart
                 hess_inv = scaled_identity(g)
-                p = -hess_inv @ g
-                slope = float(g @ p)
+                p = [-_dot(row, g) for row in hess_inv]
+                slope = _dot(g, p)
             if -0.5 * slope <= 1e-12 * (1.0 + abs(f)):
                 success = True
                 break
@@ -366,17 +345,20 @@ def minimize(fun, x0, *, maxiter, maxfev):
             if found is None:
                 break
             alpha, f_new = found
-            s = alpha * p
-            x_new = x + s
+            s = [alpha * pi for pi in p]
+            x_new = [xi + si for xi, si in zip(x, s)]
             g_new = gradient(x_new)
-            y = g_new - g
-            sy = float(s @ y)
+            y = [a - b for a, b in zip(g_new, g)]
+            sy = _dot(s, y)
             if sy > 0.0:
                 if first_step:
-                    hess_inv = np.eye(n) * (sy / float(y @ y))
+                    hess_inv = diagonal(sy / _dot(y, y))
+                # eq. 6.17 multiplied out; H is symmetric, so y'H is (Hy)'
                 rho = 1.0 / sy
-                v = np.eye(n) - rho * np.outer(s, y)
-                hess_inv = v @ hess_inv @ v.T + rho * np.outer(s, s)
+                hy = [_dot(row, y) for row in hess_inv]
+                c = rho * rho * _dot(y, hy) + rho
+                hess_inv = [[hess_inv[i][j] - rho * (s[i] * hy[j] + hy[i] * s[j])
+                             + c * s[i] * s[j] for j in range(n)] for i in range(n)]
             first_step = False
             x, f, g = x_new, f_new, g_new
             nit += 1
@@ -385,29 +367,44 @@ def minimize(fun, x0, *, maxiter, maxfev):
     return MinimizeResult(x=x, fun=float(f), nit=nit, nfev=nfev, success=success)
 
 
+def _dot(a, b):
+    return sum(ai * bi for ai, bi in zip(a, b))
+
+
 def _hessian_std_errors(objective, theta):
-    """Delta-method standard errors from a central-difference Hessian."""
+    """Delta-method standard errors from a central-difference Hessian H: the
+    square roots of the diagonal of H^-1, through the Cholesky factor
+    H = L L'.  Every one is NaN when H is not positive definite, since then
+    no factor exists and the optimum is no maximum of the likelihood."""
     k = len(theta)
-    h = 1e-4 * (1.0 + np.abs(theta))
-    hess = np.empty((k, k))
+    h = [1e-4 * (1.0 + abs(v)) for v in theta]
+
+    def at(*moves):  # the objective at theta moved by sign * h[i] per (i, sign)
+        point = list(theta)
+        for i, sign in moves:
+            point[i] += sign * h[i]
+        return objective(point)
+
     f0 = objective(theta)
+    chol = []  # the rows of L, each found as soon as that row of H is
     for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        hess[i, i] = (objective(theta + ei) - 2.0 * f0 + objective(theta - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            fpp = objective(theta + ei + ej)
-            fpm = objective(theta + ei - ej)
-            fmp = objective(theta - ei + ej)
-            fmm = objective(theta - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    try:
-        cov = np.linalg.inv(hess)
-        diag = np.diag(cov)
-        with np.errstate(invalid="ignore"):
-            se = np.sqrt(np.where(diag > 0.0, diag, np.nan))
-    except np.linalg.LinAlgError:
-        se = np.full(k, np.nan)
+        row = []
+        for j in range(i):
+            hess_ij = (at((j, 1.0), (i, 1.0)) - at((j, 1.0), (i, -1.0))
+                       - at((j, -1.0), (i, 1.0)) + at((j, -1.0), (i, -1.0))
+                       ) / (4.0 * h[j] * h[i])
+            row.append((hess_ij - _dot(row, chol[j])) / chol[j][j])
+        hess_ii = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
+        pivot = hess_ii - _dot(row, row)
+        if not pivot > 0.0:  # not positive definite
+            return [math.nan] * k
+        row.append(math.sqrt(pivot))
+        chol.append(row)
+    se = []
+    for i in range(k):
+        m = [0.0] * k  # column i of L^-1, from L m = e_i
+        m[i] = 1.0 / chol[i][i]
+        for r in range(i + 1, k):
+            m[r] = -_dot(chol[r][i:r], m[i:r]) / chol[r][r]
+        se.append(math.sqrt(_dot(m, m)))
     return se

@@ -234,7 +234,6 @@ def _run_python(code, *argv):
 
 
 def test_cli_import_leaves_out_scipy_and_numpy():
-    # residlife, predict and curve need neither; fit imports numpy itself
     code = ("import sys, mrlife.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'numpy')))")
     assert _run_python(code).strip() == "[]"
@@ -258,6 +257,24 @@ def test_fit_leaves_out_scipy(tmp_path):
     assert lines[0] == "[]"
     assert json.loads("\n".join(lines[1:-1]))["converged"] is True
     assert lines[-1] == "[]"
+
+
+def test_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
+    # the package depends on click alone: with numpy and scipy unimportable,
+    # residlife and fit exit 0 and print what an unblocked run prints
+    time, event = weibull_censored_sample(60, 1.5, 4.0, 0.2, seed=3)
+    path = tmp_path / "sample.csv"
+    write_csv(path, {"t": list(time), "status": [int(e) for e in event],
+                     "group": ["abc"[i % 3] for i in range(60)]})
+    block = "import sys; sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+    code = ("import sys, mrlife\n"
+            "from mrlife.cli import main\n"
+            "main(sys.argv[1:], prog_name='mrlife')\n")
+    for args in (["residlife", "--values", "0.5,2,7", *WEIBULL_ARGS, "--type", "all"],
+                 ["fit", "--data", str(path), "--time", "t", "--event", "status",
+                  "--dist", "weibull", "--covariates", "group", "--format", "json"]):
+        blocked = _run_python(block + code, *args)
+        assert blocked and blocked == _run_python(code, *args)
 
 
 def test_version_names_package_and_backend():

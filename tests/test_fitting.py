@@ -1,23 +1,26 @@
 """Censored maximum-likelihood fitting tests."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from mrlife import (CensoredSample, censored_loglik, convert_genf_to_orig, fit,
-                    make_distribution)
+                    make_distribution, mrl_quadrature_oracle)
 from mrlife import fitting
 from mrlife import specfun as sf
 from mrlife.distributions import (_LN_2PI, DISTRIBUTION_TAGS, PARAM_NAMES,
-                                  POSITIVE_PARAMS, Weibull,
+                                  POSITIVE_PARAMS, ParameterError, Weibull,
                                   _exp, _log, _softplus)
 from mrlife.regression import LOCATION_PARAMS
 
 from conftest import sample_params, weibull_censored_sample
 
-# families whose likelihood runs the per-row loop (not _VECTORIZED_TAGS)
+# families whose terms _uncached_terms re-derives; the two closed forms
+# follow, so that every family keeps its seed in _ALL_TAGS
 _LOOP_TAGS = ("gamma", "gompertz", "lnorm", "llogis", "gengamma.orig",
               "gengamma", "genf.orig", "genf")
+_ALL_TAGS = _LOOP_TAGS + ("exponential", "weibull")
 _LEVELS = ("a", "b", "c")
 
 
@@ -35,6 +38,8 @@ class TestCensoredSample:
             CensoredSample.from_lists([1.0, 2.0], [0, 0])
         with pytest.raises(ValueError, match="equal-length"):
             CensoredSample.from_lists([1.0, 2.0], [1])
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            CensoredSample.from_lists([[1.0, 2.0]], [[1, 1]])
         with pytest.raises(ValueError, match="length mismatch"):
             CensoredSample.from_lists([1.0, 2.0], [1, 0], {"g": ["a"]})
 
@@ -43,6 +48,19 @@ class TestCensoredSample:
             CensoredSample.from_lists([1.0, math.inf], [1, 0])
         with pytest.raises(ValueError, match="'x' has a non-finite value"):
             CensoredSample.from_lists([1.0, 2.0], [1, 0], {"x": [0.5, math.nan]})
+        with pytest.raises(ValueError, match="'x' has a non-finite value"):
+            CensoredSample.from_lists([1.0, 2.0], [1, 0],
+                                      {"x": np.array([0.5, np.nan], dtype=np.float32)})
+
+    def test_array_integer_covariate_is_numeric(self):
+        time, event = weibull_censored_sample(40, 1.4, 3.0, 0.2, seed=7)
+        x = np.arange(40) % 4
+        fits = [fit("weibull", CensoredSample.from_lists(time, event, {"x": column}),
+                    ["x"]) for column in (x, x.tolist())]
+        for result, model in fits:
+            assert model.schema.covariates[0].kind == "numeric"
+            assert list(result.estimates) == ["shape", "scale", "x"]
+        assert fits[0][0].loglik == fits[1][0].loglik
 
 
 class TestCensoredLoglik:
@@ -308,9 +326,9 @@ def _thetas(theta0):
 
 
 class TestLikelihoodLoop:
-    @pytest.mark.parametrize("tag", _LOOP_TAGS)
+    @pytest.mark.parametrize("tag", _ALL_TAGS)
     def test_objective_matches_per_row_loop_bit_for_bit(self, monkeypatch, tag):
-        sample = _covariate_sample(tag, seed=_LOOP_TAGS.index(tag) + 41)
+        sample = _covariate_sample(tag, seed=_ALL_TAGS.index(tag) + 41)
         objective, theta0 = _objective(monkeypatch, tag, sample)
         for theta in _thetas(theta0):
             expected = _naive_objective(tag, sample, theta)
@@ -332,8 +350,8 @@ class TestLikelihoodLoop:
         sample = _covariate_sample(tag, seed=53)
         params = {name: 1.0 for name in PARAM_NAMES[tag]}
         groups = np.zeros(len(sample), dtype=int)
-        assert math.isnan(fitting._loglik(tag, params, [math.exp(-800.0)],
-                                          groups, sample))
+        with pytest.raises(ParameterError, match="must be > 0"):
+            fitting._loglik(tag, params, [math.exp(-800.0)], groups, sample)
         objective, theta0 = _objective(monkeypatch, tag, sample)
         theta = theta0.copy()
         theta[PARAM_NAMES[tag].index(LOCATION_PARAMS[tag][0])] = -800.0
@@ -356,12 +374,14 @@ class TestLikelihoodLoop:
 
 
 def _rosenbrock(x):
+    x = np.asarray(x)
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
 def _walled_bowl(x):
     """A bowl centred at 2 in every coordinate, walled off at _BIG past
     sum(x) = 4.02, so the minimum lies on the wall."""
+    x = np.asarray(x)
     if np.sum(x) > 4.02:
         return fitting._BIG
     return float(np.sum((x - 2.0) ** 2) + 0.1 * x[0] * x[1])
@@ -369,7 +389,7 @@ def _walled_bowl(x):
 
 def _quadratic(x):
     """Minimum 0 at (1, -2, 3), with curvatures 1 to 100 and a cross term."""
-    d = x - np.array([1.0, -2.0, 3.0])
+    d = np.asarray(x) - np.array([1.0, -2.0, 3.0])
     return float(0.5 * d[0] ** 2 + 10.0 * d[1] ** 2 + 50.0 * d[2] ** 2
                  + d[0] * d[1])
 
@@ -385,7 +405,7 @@ class TestMinimize:
     def test_reaches_the_minimizer(self, fun, x0, minimizer):
         result = fitting.minimize(fun, np.array(x0), **_CAPS)
         assert result.success
-        assert np.max(np.abs(result.x - minimizer)) <= 1e-6
+        assert np.max(np.abs(np.asarray(result.x) - minimizer)) <= 1e-6
         assert result.fun == fun(result.x)
         assert 0 < result.nit and result.nit < result.nfev <= _CAPS["maxfev"]
 
@@ -405,11 +425,11 @@ class TestMinimize:
     def test_objective_gets_a_copy(self):
         def scribble(x):
             value = _rosenbrock(x)
-            x[:] = np.nan
+            x[:] = [math.nan] * len(x)
             return value
 
         result = fitting.minimize(scribble, np.array([-1.2, 1.0]), **_CAPS)
-        assert result.success and np.max(np.abs(result.x - 1.0)) <= 1e-6
+        assert result.success and np.max(np.abs(np.asarray(result.x) - 1.0)) <= 1e-6
 
     def test_no_accepted_point_is_walled_off(self):
         # the k-th accepted point is what a run capped at k iterations returns
@@ -420,6 +440,38 @@ class TestMinimize:
             result = fitting.minimize(_walled_bowl, x0, **dict(_CAPS, maxiter=k))
             assert result.nit == k
             assert result.fun == _walled_bowl(result.x) < fitting._BIG
+
+
+class TestHessianStdErrors:
+    def test_saddle_gives_nan_for_every_standard_error(self):
+        def saddle(x):
+            return x[0] ** 2 - x[1] ** 2 + 0.5 * x[2] ** 2
+
+        se = fitting._hessian_std_errors(saddle, [0.3, -0.2, 0.1])
+        assert len(se) == 3 and all(math.isnan(v) for v in se)
+
+    def test_positive_definite_matches_the_inverse(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(5, 5))
+        hess = a @ a.T + 0.5 * np.eye(5)
+
+        def quadratic(x):
+            # minimum 0 at the origin: steps from 0 are exact and no large
+            # f(0) cancels, so the differences give hess to rounding
+            x = np.asarray(x)
+            return float(0.5 * x @ hess @ x)
+
+        se = fitting._hessian_std_errors(quadratic, [0.0] * 5)
+        expected = np.sqrt(np.diag(np.linalg.inv(hess)))
+        assert np.max(np.abs(np.asarray(se) / expected - 1.0)) <= 1e-12
+
+
+def test_oracle_without_scipy_names_the_extra(monkeypatch):
+    monkeypatch.delitem(sys.modules, "mrlife._integrate", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError, match=r"pip install mrlife\[oracle\]"):
+        mrl_quadrature_oracle(make_distribution("weibull", {"shape": 1.5,
+                                                           "scale": 2.0}), 1.0)
 
 
 def _gamma_power_terms(t, ln_scale, k, b):
