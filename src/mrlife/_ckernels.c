@@ -130,38 +130,6 @@ static void upper_gamma_cf(double x, double a, double *q, double *ln_unnorm)
     *ln_unnorm = NAN;
 }
 
-/* Regularized lower incomplete gamma P(x, a) = gamma(x, a)/Gamma(a). */
-static double reg_lower_gamma(double x, double a)
-{
-    double v, ln_v;
-    if (!(x >= 0.0 && a > 0.0))
-        return NAN;
-    if (x == 0.0)
-        return 0.0;
-    if (x < a + 1.0) {
-        lower_gamma_series(x, a, &v, &ln_v);
-        return v;
-    }
-    upper_gamma_cf(x, a, &v, &ln_v);
-    return 1.0 - v;
-}
-
-/* Regularized upper incomplete gamma Q(x, a) = Gamma(x, a)/Gamma(a). */
-static double reg_upper_gamma(double x, double a)
-{
-    double v, ln_v;
-    if (!(x >= 0.0 && a > 0.0))
-        return NAN;
-    if (x == 0.0)
-        return 1.0;
-    if (x < a + 1.0) {
-        lower_gamma_series(x, a, &v, &ln_v);
-        return 1.0 - v;
-    }
-    upper_gamma_cf(x, a, &v, &ln_v);
-    return v;
-}
-
 /* ln Gamma(x, a), the unnormalized upper incomplete gamma in log scale. */
 static double ln_upper_inc_gamma(double x, double a)
 {
@@ -401,38 +369,9 @@ static double gauss_2f1(double a, double b, double c, double z)
     return exp(-b * log1p(-z)) * s;
 }
 
-/* ln 2F1(a, b; c; z), same regime as gauss_2f1 (the value is positive there). */
-static double ln_gauss_2f1(double a, double b, double c, double z)
-{
-    double w, s;
-    if (!(c > b && b > 0.0) || z > 0.0 || isnan(a) || isnan(z))
-        return NAN;
-    if (z == 0.0)
-        return 0.0;
-    if (z > -0.5) {
-        s = hyp2f1_series(a, b, c, z);
-        if (isnan(s) || s <= 0.0)
-            return NAN;
-        return log(s);
-    }
-    w = z / (z - 1.0);
-    s = hyp2f1_series(c - a, b, c, w);
-    if (isnan(s) || s <= 0.0)
-        return NAN;
-    return -b * log1p(-z) + log(s);
-}
-
 /* ------------------------------------------------------------------------
  * standard normal
  * ------------------------------------------------------------------------ */
-
-/* Standard normal CDF via the complementary error function. */
-static double std_normal_cdf(double z)
-{
-    if (isnan(z))
-        return NAN;
-    return 0.5 * erfc(-z / SQRT2);
-}
 
 /* ln(1 - Phi(z)); asymptotic tail expansion once erfc would underflow. */
 static double ln_std_normal_sf(double z)
@@ -540,8 +479,6 @@ static inline int as_doubles(const char *name, PyObject *const *args,
 
 WRAP(ln_gamma, 1, v[0])
 WRAP(ln_beta, 2, v[0], v[1])
-WRAP(reg_lower_gamma, 2, v[0], v[1])
-WRAP(reg_upper_gamma, 2, v[0], v[1])
 WRAP(ln_upper_inc_gamma, 2, v[0], v[1])
 WRAP(ln_lower_inc_gamma, 2, v[0], v[1])
 WRAP(upper_inc_gamma, 2, v[0], v[1])
@@ -550,8 +487,6 @@ WRAP(exp_integral_e1_scaled, 1, v[0])
 WRAP(reg_inc_beta, 3, v[0], v[1], v[2])
 WRAP(ln_reg_inc_beta, 3, v[0], v[1], v[2])
 WRAP(gauss_2f1, 4, v[0], v[1], v[2], v[3])
-WRAP(ln_gauss_2f1, 4, v[0], v[1], v[2], v[3])
-WRAP(std_normal_cdf, 1, v[0])
 WRAP(ln_std_normal_sf, 1, v[0])
 WRAP(std_normal_quantile, 1, v[0])
 
@@ -562,10 +497,6 @@ static PyMethodDef kernel_methods[] = {
     ENTRY(ln_gamma, "ln_gamma(a)\n--\n\nNatural log of the gamma function "
           "for a > 0 (NaN otherwise)."),
     ENTRY(ln_beta, "ln_beta(a, b)\n--\n\nln B(a, b) for a, b > 0 (NaN otherwise)."),
-    ENTRY(reg_lower_gamma, "reg_lower_gamma(x, a)\n--\n\nRegularized lower "
-          "incomplete gamma P(x, a) = gamma(x, a)/Gamma(a)."),
-    ENTRY(reg_upper_gamma, "reg_upper_gamma(x, a)\n--\n\nRegularized upper "
-          "incomplete gamma Q(x, a) = Gamma(x, a)/Gamma(a)."),
     ENTRY(ln_upper_inc_gamma, "ln_upper_inc_gamma(x, a)\n--\n\nln Gamma(x, a), "
           "the unnormalized upper incomplete gamma in log scale."),
     ENTRY(ln_lower_inc_gamma, "ln_lower_inc_gamma(x, a)\n--\n\nln gamma(x, a), "
@@ -582,10 +513,6 @@ static PyMethodDef kernel_methods[] = {
           "scale; accurate for I_x down to the underflow floor."),
     ENTRY(gauss_2f1, "gauss_2f1(a, b, c, z)\n--\n\n2F1(a, b; c; z) for the "
           "survival-ratio regime c > b > 0, z <= 0."),
-    ENTRY(ln_gauss_2f1, "ln_gauss_2f1(a, b, c, z)\n--\n\nln 2F1(a, b; c; z), "
-          "same regime as gauss_2f1."),
-    ENTRY(std_normal_cdf, "std_normal_cdf(z)\n--\n\nStandard normal CDF via "
-          "the complementary error function."),
     ENTRY(ln_std_normal_sf, "ln_std_normal_sf(z)\n--\n\nln(1 - Phi(z)); "
           "asymptotic tail expansion once erfc would underflow."),
     ENTRY(std_normal_quantile, "std_normal_quantile(p)\n--\n\nStandard normal "

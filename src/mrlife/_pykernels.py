@@ -15,6 +15,9 @@ Conventions shared by both backends:
 
 All routines follow the classic series / continued-fraction regime
 splits (Lentz's method for the continued fractions).
+
+The public functions here are the kernel set that the ``specfun`` docstring
+lists; the compiled twin and ``bench_kernels._KERNEL_NAMES`` name the same.
 """
 import math
 
@@ -124,29 +127,6 @@ def _upper_gamma_cf(x, a):
         return _NAN, _NAN
     ln_unnorm = -x + a * math.log(x) + math.log(h)
     return math.exp(ln_unnorm - math.lgamma(a)), ln_unnorm
-
-
-def reg_lower_gamma(x, a):
-    """Regularized lower incomplete gamma P(x, a) = gamma(x, a)/Gamma(a)."""
-    if not (x >= 0.0 and a > 0.0):
-        return _NAN
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(x, a)[0]
-    q = _upper_gamma_cf(x, a)[0]
-    return 1.0 - q
-
-
-def reg_upper_gamma(x, a):
-    """Regularized upper incomplete gamma Q(x, a) = Gamma(x, a)/Gamma(a)."""
-    if not (x >= 0.0 and a > 0.0):
-        return _NAN
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(x, a)[0]
-    return _upper_gamma_cf(x, a)[0]
 
 
 def ln_upper_inc_gamma(x, a):
@@ -365,34 +345,9 @@ def gauss_2f1(a, b, c, z):
     return math.exp(-b * math.log1p(-z)) * s
 
 
-def ln_gauss_2f1(a, b, c, z):
-    """ln 2F1(a, b; c; z), same regime as gauss_2f1 (the value is positive there)."""
-    if not (c > b > 0.0) or z > 0.0 or math.isnan(a) or math.isnan(z):
-        return _NAN
-    if z == 0.0:
-        return 0.0
-    if z > -0.5:
-        s = _hyp2f1_series(a, b, c, z)
-        if math.isnan(s) or s <= 0.0:
-            return _NAN
-        return math.log(s)
-    w = z / (z - 1.0)
-    s = _hyp2f1_series(c - a, b, c, w)
-    if math.isnan(s) or s <= 0.0:
-        return _NAN
-    return -b * math.log1p(-z) + math.log(s)
-
-
 # ---------------------------------------------------------------------------
 # standard normal
 # ---------------------------------------------------------------------------
-
-def std_normal_cdf(z):
-    """Standard normal CDF via the complementary error function."""
-    if math.isnan(z):
-        return _NAN
-    return 0.5 * math.erfc(-z / _SQRT2)
-
 
 def ln_std_normal_sf(z):
     """ln(1 - Phi(z)); asymptotic tail expansion once erfc would underflow."""

@@ -15,11 +15,12 @@ package and the CLI::
     genf           mu, sigma, Q, P
 
 Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
-``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  The mean
-residual life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log
-space.  Beyond the three one-liner families (exponential, gompertz,
-lnorm), T is a power of a gamma or of a beta-prime variable, and one of
-two family cores, ``_GammaPower`` and ``_BetaPrimePower``, carries every
+``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  Each family
+defines three formulas, ``ln_pdf``, ``ln_survival`` and ``_mrl``; ``pdf``
+and ``survival`` are the exponentials of the first two.  The mean residual
+life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space.
+Beyond the three one-liner families (exponential, gompertz, lnorm), T is
+a power of a gamma or of a beta-prime variable, and one of two family cores, ``_GammaPower`` and ``_BetaPrimePower``, carries every
 method; each family on them only maps its parameters.  When the survival
 probability at ``x`` underflows to zero the result is NaN (the same
 degenerate rows a double-precision reference produces).  ``pdf`` is 0 at
@@ -119,7 +120,8 @@ class Distribution:
         return 1.0 - self.survival(t)
 
     def survival(self, t):
-        raise NotImplementedError
+        """P(T > t), the exponential of ln_survival."""
+        return _exp(self.ln_survival(t))
 
     def ln_survival(self, t):
         raise NotImplementedError
@@ -256,12 +258,6 @@ class _GammaPower(Distribution):
                                  self._ln_pdf_lead - kb * self._ln_scale)
         return ln_f
 
-    def survival(self, t):
-        z = _exp(self._b * (_log(t) - self._ln_scale))
-        if self._b > 0.0:
-            return sf.reg_upper_gamma(z, self._k)
-        return sf.reg_lower_gamma(z, self._k)
-
     def ln_survival(self, t):
         z = _exp(self._b * (_log(t) - self._ln_scale))
         if self._b > 0.0:
@@ -314,10 +310,6 @@ class _BetaPrimePower(Distribution):
                                  self._ln_pdf_lead + self._s1 * self._ln_u0)
         return ln_f
 
-    def survival(self, t):
-        u = _exp(self._ln_u0 + _log(t) / self._sigma)
-        return sf.reg_inc_beta(1.0 / (1.0 + u), self._s2, self._s1)
-
     def ln_survival(self, t):
         u = _exp(self._ln_u0 + _log(t) / self._sigma)
         return sf.ln_reg_inc_beta(1.0 / (1.0 + u), self._s2, self._s1)
@@ -348,9 +340,6 @@ class Exponential(Distribution):
 
     def ln_pdf(self, t):
         return math.log(self.rate) - self.rate * t
-
-    def survival(self, t):
-        return _exp(-self.rate * t)
 
     def ln_survival(self, t):
         return -self.rate * t
@@ -409,9 +398,6 @@ class Gompertz(Distribution):
         ln_f = self._ln_rate + self.shape * t + self.ln_survival(t)
         return ln_f if ln_f == ln_f else _ln_pdf_limit(t, 0.0, self._ln_rate)
 
-    def survival(self, t):
-        return _exp(self.ln_survival(t))
-
     def ln_survival(self, t):
         if self.shape == 0.0:
             return -self.rate * t
@@ -457,11 +443,6 @@ class LogNormal(Distribution):
         if w == -_INF:
             return -_INF
         return -_log(t) - self._ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w
-
-    def survival(self, t):
-        if t <= 0.0:
-            return 1.0
-        return sf.std_normal_cdf(-self._w(t))
 
     def ln_survival(self, t):
         if t <= 0.0:

@@ -13,6 +13,7 @@ rows so that predictions without new data keep working after a reload.
 """
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -296,11 +297,21 @@ def model_from_dict(doc: dict) -> SurvivalModel:
     )
 
 
+def _json_number(value):
+    """Other number types (numpy scalars in training rows) as int or float."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_model(model: SurvivalModel, path):
-    """Write the model as a versioned JSON document."""
+    """Write the model as a versioned JSON document; a value that cannot be
+    serialized raises TypeError before ``path`` is opened."""
+    text = json.dumps(model_to_dict(model), indent=2, default=_json_number)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> SurvivalModel:

@@ -17,18 +17,23 @@ Exported functions (identical in both backends):
     Gamma(x, a) = int_x^inf t^(a-1) e^-t dt.  Series for x < a+1,
     Lentz continued fraction for x >= a+1, asymptotic series from
     x = 2**51 on when a <= x/1024.
-``ln_lower_inc_gamma(x, a)``, ``reg_lower_gamma(x, a)``, ``reg_upper_gamma(x, a)``
-    Lower counterpart and the regularized P/Q pair.
+``ln_lower_inc_gamma(x, a)``
+    ln gamma(x, a), the lower counterpart.
 ``exp_integral_e1(z)`` / ``exp_integral_e1_scaled(z)``
     E1(z) and exp(z)*E1(z); series below z=1, continued fraction above,
     asymptotic series from z = 2**51 on.
 ``reg_inc_beta(x, a, b)`` / ``ln_reg_inc_beta(x, a, b)``, ``ln_beta(a, b)``
     Regularized incomplete beta I_x(a, b) and helpers.
-``gauss_2f1(a, b, c, z)`` / ``ln_gauss_2f1(a, b, c, z)``
+``gauss_2f1(a, b, c, z)``
     Gauss hypergeometric for c > b > 0, z <= 0 (power series plus a
     Pfaff transformation for z <= -0.5).
-``std_normal_cdf(z)``, ``ln_std_normal_sf(z)``, ``std_normal_quantile(p)``
-    Standard normal CDF (via erfc), log survival, and quantile.
+``ln_std_normal_sf(z)``, ``std_normal_quantile(p)``
+    Standard normal log survival (via erfc) and quantile.
+
+The package calls the ``ln_*`` kernels, ``exp_integral_e1_scaled`` and
+``std_normal_quantile``.  ``upper_inc_gamma``, ``exp_integral_e1``,
+``reg_inc_beta`` and ``gauss_2f1`` have no caller in the package; they
+stay because ``perfbench`` times them.
 
 Every function is a pure function of its arguments and returns NaN on
 domain violations rather than raising, so the kernels are safe to call
@@ -48,8 +53,6 @@ BACKEND = _impl.BACKEND
 
 ln_gamma = _impl.ln_gamma
 ln_beta = _impl.ln_beta
-reg_lower_gamma = _impl.reg_lower_gamma
-reg_upper_gamma = _impl.reg_upper_gamma
 ln_upper_inc_gamma = _impl.ln_upper_inc_gamma
 ln_lower_inc_gamma = _impl.ln_lower_inc_gamma
 upper_inc_gamma = _impl.upper_inc_gamma
@@ -58,8 +61,6 @@ exp_integral_e1_scaled = _impl.exp_integral_e1_scaled
 reg_inc_beta = _impl.reg_inc_beta
 ln_reg_inc_beta = _impl.ln_reg_inc_beta
 gauss_2f1 = _impl.gauss_2f1
-ln_gauss_2f1 = _impl.ln_gauss_2f1
-std_normal_cdf = _impl.std_normal_cdf
 ln_std_normal_sf = _impl.ln_std_normal_sf
 std_normal_quantile = _impl.std_normal_quantile
 

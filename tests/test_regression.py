@@ -207,6 +207,28 @@ class TestModelFile:
                                       newdata=[dict(rows[0])])
         assert before.columns == after.columns
 
+    def test_numpy_covariate_values_round_trip(self, tmp_path):
+        rng = np.random.default_rng(61)
+        t = 4.0 * rng.weibull(1.4, size=40)
+        sample = CensoredSample.from_lists(t, np.ones(40), {"x": np.arange(40) % 4})
+        _, model = fit("weibull", sample, ["x"])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded == model
+        before = predict_residual_life(model, 2.0, type="all")
+        after = predict_residual_life(loaded, 2.0, type="all")
+        assert before.columns == after.columns
+
+    def test_unserializable_value_leaves_file_intact(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(weibull_model(), path)
+        written = path.read_bytes()
+        bad = weibull_model(training_rows=({"age": object(), "group": "Good"},))
+        with pytest.raises(TypeError):
+            save_model(bad, path)
+        assert path.read_bytes() == written
+
     def test_schema_version_checked(self):
         doc = model_to_dict(weibull_model())
         doc["schema_version"] = 999
