@@ -22,13 +22,6 @@ class optional_build_ext(build_ext):
             print(f"warning: C kernel extension not built ({exc}); "
                   f"falling back to pure-Python kernels")
 
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: failed to compile {ext.name} ({exc}); "
-                  f"falling back to pure-Python kernels")
-
 
 ext_modules = []
 if os.environ.get("MRLIFE_NO_EXTENSION", "") not in ("1", "true", "yes"):

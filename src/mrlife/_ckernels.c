@@ -4,7 +4,11 @@
  * and branch points, function for function, so the two agree to within a
  * few ulp and the test suite cross-checks them.  ln Gamma comes from libm's
  * ``lgamma`` (the pure-Python twin uses CPython's ``math.lgamma``).  Keep the
- * two files in lockstep.
+ * two files in lockstep.  The incomplete gamma has one series, one continued
+ * fraction and one complement ln(Gamma(a) - exp(ln_part)), the only place
+ * ln Gamma(a) enters; E1(z) is Gamma(z, 0), so for z >= 1 it is that
+ * fraction at a = 0.  Every helper returns its one value; none writes
+ * through an out-pointer.
  *
  * Build as a plain CPython extension, no code generator needed:
  *
@@ -55,10 +59,8 @@ static double ln_beta(double a, double b)
  * incomplete gamma
  * ------------------------------------------------------------------------ */
 
-/* Series for the regularized lower incomplete gamma, x < a + 1.  Sets *p to
- * P = gamma(x, a)/Gamma(a) and *ln_unnorm to ln gamma(x, a); both NaN when
- * the series does not converge. */
-static void lower_gamma_series(double x, double a, double *p, double *ln_unnorm)
+/* ln gamma(x, a) by its power series, x < a + 1; NaN at the iteration cap. */
+static double ln_lower_gamma_series(double x, double a)
 {
     double ap = a;
     double delt = 1.0 / a;
@@ -68,34 +70,15 @@ static void lower_gamma_series(double x, double a, double *p, double *ln_unnorm)
         ap += 1.0;
         delt *= x / ap;
         total += delt;
-        if (fabs(delt) < fabs(total) * EPS) {
-            *ln_unnorm = -x + a * log(x) + log(total);
-            *p = exp(*ln_unnorm - lgamma(a));
-            return;
-        }
+        if (fabs(delt) < fabs(total) * EPS)
+            return -x + a * log(x) + log(total);
     }
-    *p = NAN;
-    *ln_unnorm = NAN;
+    return NAN;
 }
 
-/* ln Gamma(x, a) for x >= BIG_X, a <= x/1024, by its asymptotic series. */
-static double upper_gamma_asymptotic(double x, double a)
-{
-    double term = 1.0, total = 1.0, n = 1.0;
-    if (x == INFINITY)
-        return -INFINITY;
-    while (fabs(term) > 1e-17 * total) {  /* each term is <= 1/1024 of the last */
-        term *= (a - n) / x;
-        total += term;
-        n += 1.0;
-    }
-    return (a - 1.0) * log(x) - x + log(total);
-}
-
-/* Lentz continued fraction for the upper incomplete gamma, x >= a + 1.  Sets
- * *q to Q = Gamma(x, a)/Gamma(a) and *ln_unnorm to ln Gamma(x, a); both NaN
- * when the fraction does not converge. */
-static void upper_gamma_cf(double x, double a, double *q, double *ln_unnorm)
+/* Lentz continued fraction h = exp(x) x**-a Gamma(x, a), x >= a + 1 or
+ * a = 0; NaN at the iteration cap.  At a = 0 it is exp(z) E1(z). */
+static double gamma_cf(double x, double a)
 {
     double b = x + 1.0 - a;
     double c = 1.0 / FPMIN;
@@ -103,11 +86,6 @@ static void upper_gamma_cf(double x, double a, double *q, double *ln_unnorm)
     double h = d;
     double an, delt;
     int i;
-    if (x >= BIG_X && a <= x / 1024.0) {
-        *q = 0.0;
-        *ln_unnorm = upper_gamma_asymptotic(x, a);
-        return;
-    }
     for (i = 1; i <= MAX_ITER; i++) {
         an = -i * (i - a);
         b += 2.0;
@@ -120,50 +98,63 @@ static void upper_gamma_cf(double x, double a, double *q, double *ln_unnorm)
         d = 1.0 / d;
         delt = d * c;
         h *= delt;
-        if (fabs(delt - 1.0) < EPS) {
-            *ln_unnorm = -x + a * log(x) + log(h);
-            *q = exp(*ln_unnorm - lgamma(a));
-            return;
-        }
+        if (fabs(delt - 1.0) < EPS)
+            return h;
     }
-    *q = NAN;
-    *ln_unnorm = NAN;
+    return NAN;
+}
+
+/* ln Gamma(x, a) for x >= a + 1: the continued fraction, or from x = BIG_X
+ * on with a <= x/1024 its asymptotic series. */
+static double ln_upper_gamma_cf(double x, double a)
+{
+    double term = 1.0, total = 1.0, n = 1.0;
+    if (x >= BIG_X && a <= x / 1024.0) {
+        if (x == INFINITY)
+            return -INFINITY;
+        while (fabs(term) > 1e-17 * total) {  /* each term is <= 1/1024 of the last */
+            term *= (a - n) / x;
+            total += term;
+            n += 1.0;
+        }
+        return (a - 1.0) * log(x) - x + log(total);
+    }
+    return -x + a * log(x) + log(gamma_cf(x, a));
+}
+
+/* ln(Gamma(a) - exp(ln_part)), the other incomplete gamma; NaN unless
+ * exp(ln_part) < Gamma(a). */
+static double ln_gamma_complement(double ln_part, double a)
+{
+    double ln_gamma_a = lgamma(a);
+    double ratio = exp(ln_part - ln_gamma_a);
+    if (!(ratio < 1.0))
+        return NAN;
+    return ln_gamma_a + log1p(-ratio);
 }
 
 /* ln Gamma(x, a), the unnormalized upper incomplete gamma in log scale. */
 static double ln_upper_inc_gamma(double x, double a)
 {
-    double v, ln_v;
     if (!(x >= 0.0 && a > 0.0))
         return NAN;
     if (x == 0.0)
         return lgamma(a);
-    if (x < a + 1.0) {
-        lower_gamma_series(x, a, &v, &ln_v);
-        if (!(v < 1.0))
-            return NAN;
-        return lgamma(a) + log1p(-v);
-    }
-    upper_gamma_cf(x, a, &v, &ln_v);
-    return ln_v;
+    if (x < a + 1.0)
+        return ln_gamma_complement(ln_lower_gamma_series(x, a), a);
+    return ln_upper_gamma_cf(x, a);
 }
 
 /* ln gamma(x, a), the unnormalized lower incomplete gamma in log scale. */
 static double ln_lower_inc_gamma(double x, double a)
 {
-    double v, ln_v;
     if (!(x >= 0.0 && a > 0.0))
         return NAN;
     if (x == 0.0)
         return -INFINITY;
-    if (x < a + 1.0) {
-        lower_gamma_series(x, a, &v, &ln_v);
-        return ln_v;
-    }
-    upper_gamma_cf(x, a, &v, &ln_v);
-    if (!(v < 1.0))
-        return NAN;
-    return lgamma(a) + log1p(-v);
+    if (x < a + 1.0)
+        return ln_lower_gamma_series(x, a);
+    return ln_gamma_complement(ln_upper_gamma_cf(x, a), a);
 }
 
 /* Unnormalized upper incomplete gamma Gamma(x, a) = int_x^inf t^(a-1) e^-t dt. */
@@ -179,33 +170,12 @@ static double upper_inc_gamma(double x, double a)
  * exponential integral E1
  * ------------------------------------------------------------------------ */
 
-/* Lentz continued fraction for exp(z)*E1(z), z >= 1. */
+/* exp(z)*E1(z) for z >= 1: the incomplete-gamma fraction at a = 0. */
 static double e1_scaled_cf(double z)
 {
-    double b = z + 1.0;
-    double c = 1.0 / FPMIN;
-    double d = 1.0 / b;
-    double h = d;
-    double an, delt;
-    int i;
     if (z >= BIG_X)
         return (1.0 - 1.0 / z) / z;
-    for (i = 1; i <= MAX_ITER; i++) {
-        an = -(double)i * i;
-        b += 2.0;
-        d = an * d + b;
-        if (fabs(d) < FPMIN)
-            d = FPMIN;
-        c = b + an / c;
-        if (fabs(c) < FPMIN)
-            c = FPMIN;
-        d = 1.0 / d;
-        delt = d * c;
-        h *= delt;
-        if (fabs(delt - 1.0) < EPS)
-            return h;
-    }
-    return NAN;
+    return gamma_cf(z, 0.0);
 }
 
 /* Convergent small-z series for E1(z), z < 1. */

@@ -14,7 +14,11 @@ Conventions shared by both backends:
 * ratios that can overflow are served through the ``ln_*`` variants.
 
 All routines follow the classic series / continued-fraction regime
-splits (Lentz's method for the continued fractions).
+splits (Lentz's method for the continued fractions).  The incomplete gamma
+has one series, one continued fraction and one complement
+ln(Gamma(a) - exp(ln_part)), the only place ln Gamma(a) enters; E1(z) is
+Gamma(z, 0), so for z >= 1 it is that fraction at a = 0.  Each helper
+returns one value, on the log scale where the caller needs a log.
 
 The public functions here are the kernel set that the ``specfun`` docstring
 lists; the compiled twin and ``bench_kernels._KERNEL_NAMES`` name the same.
@@ -63,12 +67,8 @@ def ln_beta(a, b):
 # incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _lower_gamma_series(x, a):
-    """Series sum for the regularized lower incomplete gamma, x < a + 1.
-
-    Returns (P, ln_sum) where P = gamma(x, a)/Gamma(a) and
-    ln gamma(x, a) = -x + a*ln(x) + ln_sum (unnormalized, log scale).
-    """
+def _ln_lower_gamma_series(x, a):
+    """ln gamma(x, a) by its power series, x < a + 1; NaN at the iteration cap."""
     ap = a
     delt = 1.0 / a
     total = delt
@@ -77,34 +77,13 @@ def _lower_gamma_series(x, a):
         delt *= x / ap
         total += delt
         if abs(delt) < abs(total) * _EPS:
-            break
-    else:
-        return _NAN, _NAN
-    ln_unnorm = -x + a * math.log(x) + math.log(total)
-    return math.exp(ln_unnorm - math.lgamma(a)), ln_unnorm
+            return -x + a * math.log(x) + math.log(total)
+    return _NAN
 
 
-def _upper_gamma_asymptotic(x, a):
-    """ln Gamma(x, a) for x >= _BIG_X, a <= x/1024, by its asymptotic series."""
-    if x == _INF:
-        return -_INF
-    term = total = 1.0
-    n = 1.0
-    while abs(term) > 1e-17 * total:  # each term is <= 1/1024 of the last
-        term *= (a - n) / x
-        total += term
-        n += 1.0
-    return (a - 1.0) * math.log(x) - x + math.log(total)
-
-
-def _upper_gamma_cf(x, a):
-    """Lentz continued fraction for the upper incomplete gamma, x >= a + 1.
-
-    Returns (Q, ln_unnorm) where Q = Gamma(x, a)/Gamma(a) and
-    ln_unnorm = ln Gamma(x, a) (unnormalized, log scale).
-    """
-    if x >= _BIG_X and a <= x / 1024.0:
-        return 0.0, _upper_gamma_asymptotic(x, a)
+def _gamma_cf(x, a):
+    """Lentz continued fraction h = exp(x) x**-a Gamma(x, a), x >= a + 1 or
+    a = 0; NaN at the iteration cap.  At a = 0 it is exp(z) E1(z)."""
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -122,11 +101,34 @@ def _upper_gamma_cf(x, a):
         delt = d * c
         h *= delt
         if abs(delt - 1.0) < _EPS:
-            break
-    else:
-        return _NAN, _NAN
-    ln_unnorm = -x + a * math.log(x) + math.log(h)
-    return math.exp(ln_unnorm - math.lgamma(a)), ln_unnorm
+            return h
+    return _NAN
+
+
+def _ln_upper_gamma_cf(x, a):
+    """ln Gamma(x, a) for x >= a + 1: the continued fraction, or from
+    x = _BIG_X on with a <= x/1024 its asymptotic series."""
+    if x >= _BIG_X and a <= x / 1024.0:
+        if x == _INF:
+            return -_INF
+        term = total = 1.0
+        n = 1.0
+        while abs(term) > 1e-17 * total:  # each term is <= 1/1024 of the last
+            term *= (a - n) / x
+            total += term
+            n += 1.0
+        return (a - 1.0) * math.log(x) - x + math.log(total)
+    return -x + a * math.log(x) + math.log(_gamma_cf(x, a))
+
+
+def _ln_gamma_complement(ln_part, a):
+    """ln(Gamma(a) - exp(ln_part)), the other incomplete gamma; NaN unless
+    exp(ln_part) < Gamma(a)."""
+    ln_gamma_a = math.lgamma(a)
+    ratio = math.exp(ln_part - ln_gamma_a)
+    if not ratio < 1.0:
+        return _NAN
+    return ln_gamma_a + math.log1p(-ratio)
 
 
 def ln_upper_inc_gamma(x, a):
@@ -136,11 +138,8 @@ def ln_upper_inc_gamma(x, a):
     if x == 0.0:
         return math.lgamma(a)
     if x < a + 1.0:
-        p = _lower_gamma_series(x, a)[0]
-        if not p < 1.0:
-            return _NAN
-        return math.lgamma(a) + math.log1p(-p)
-    return _upper_gamma_cf(x, a)[1]
+        return _ln_gamma_complement(_ln_lower_gamma_series(x, a), a)
+    return _ln_upper_gamma_cf(x, a)
 
 
 def ln_lower_inc_gamma(x, a):
@@ -150,11 +149,8 @@ def ln_lower_inc_gamma(x, a):
     if x == 0.0:
         return -_INF
     if x < a + 1.0:
-        return _lower_gamma_series(x, a)[1]
-    q = _upper_gamma_cf(x, a)[0]
-    if not q < 1.0:
-        return _NAN
-    return math.lgamma(a) + math.log1p(-q)
+        return _ln_lower_gamma_series(x, a)
+    return _ln_gamma_complement(_ln_upper_gamma_cf(x, a), a)
 
 
 def upper_inc_gamma(x, a):
@@ -173,28 +169,10 @@ def upper_inc_gamma(x, a):
 # ---------------------------------------------------------------------------
 
 def _e1_scaled_cf(z):
-    """Lentz continued fraction for exp(z)*E1(z), z >= 1."""
+    """exp(z)*E1(z) for z >= 1: the incomplete-gamma fraction at a = 0."""
     if z >= _BIG_X:
         return (1.0 - 1.0 / z) / z
-    b = z + 1.0
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * i
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        if abs(delt - 1.0) < _EPS:
-            return h
-    return _NAN
+    return _gamma_cf(z, 0.0)
 
 
 def _e1_series(z):

@@ -35,6 +35,7 @@ from . import specfun as sf
 
 _INF = float("inf")
 _NAN = float("nan")
+_LN_2 = 0.69314718055994530942
 _LN_2PI = 1.8378770664093454836
 
 
@@ -393,8 +394,6 @@ class Gompertz(Distribution):
         self._ln_rate = math.log(rate)
 
     def ln_pdf(self, t):
-        if self.shape == 0.0:
-            return self._ln_rate - self.rate * t
         ln_f = self._ln_rate + self.shape * t + self.ln_survival(t)
         return ln_f if ln_f == ln_f else _ln_pdf_limit(t, 0.0, self._ln_rate)
 
@@ -449,21 +448,16 @@ class LogNormal(Distribution):
             return 0.0
         return sf.ln_std_normal_sf(self._w(t))
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or p != p:
-            raise ValueError("p must lie in [0, 1]")
-        return _exp(self.meanlog + self.sdlog * sf.std_normal_quantile(p))
-
-    def isf(self, s):
-        if not 0.0 <= s <= 1.0 or s != s:
-            raise ValueError("s must lie in [0, 1]")
-        return _exp(self.meanlog - self.sdlog * sf.std_normal_quantile(s))
-
-    def mean(self):
-        return _exp(self.meanlog + 0.5 * self.sdlog * self.sdlog)
+    def _isf_from_ln(self, ln_s):
+        # Phi^-1 of whichever of S and 1 - S is below 1/2
+        if ln_s < -_LN_2:
+            w = -sf.std_normal_quantile(math.exp(ln_s))
+        else:
+            w = sf.std_normal_quantile(-math.expm1(ln_s))
+        return _exp(self.meanlog + self.sdlog * w)
 
     def _mrl(self, x):
-        shifted = (math.log(x) - (self.meanlog + self.sdlog * self.sdlog)) / self.sdlog
+        shifted = (_log(x) - (self.meanlog + self.sdlog * self.sdlog)) / self.sdlog
         return _exp(self.meanlog + 0.5 * self.sdlog * self.sdlog
                     + sf.ln_std_normal_sf(shifted)
                     - sf.ln_std_normal_sf(self._w(x))) - x

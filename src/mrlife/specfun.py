@@ -20,8 +20,9 @@ Exported functions (identical in both backends):
 ``ln_lower_inc_gamma(x, a)``
     ln gamma(x, a), the lower counterpart.
 ``exp_integral_e1(z)`` / ``exp_integral_e1_scaled(z)``
-    E1(z) and exp(z)*E1(z); series below z=1, continued fraction above,
-    asymptotic series from z = 2**51 on.
+    E1(z) and exp(z)*E1(z); series below z=1, from z=1 on the incomplete
+    gamma's continued fraction at a = 0 (E1(z) = Gamma(z, 0)), asymptotic
+    series from z = 2**51 on.
 ``reg_inc_beta(x, a, b)`` / ``ln_reg_inc_beta(x, a, b)``, ``ln_beta(a, b)``
     Regularized incomplete beta I_x(a, b) and helpers.
 ``gauss_2f1(a, b, c, z)``

@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -9,6 +10,7 @@ from scipy.integrate import IntegrationWarning, quad
 from mrlife import (DISTRIBUTION_TAGS, ParameterError, convert_genf_to_orig,
                     convert_gengamma_from_orig, convert_gengamma_to_orig,
                     make_distribution)
+from mrlife import distributions
 from mrlife import specfun as sf
 from mrlife.distributions import (_BY_TAG, _CLASSES, Distribution, GenFOrig, GenGamma,
                                   GenGammaOrig)
@@ -325,6 +327,20 @@ class TestResidualLifeClosedForms:
         d = reference_dist("genf.orig")
         assert d.mrl(3.0) == pytest.approx(3.38263504694, rel=1e-9)
         assert d.mrl(8.0) == pytest.approx(6.33450067059, rel=1e-9)
+
+    def test_weibull_deep_tail_against_mpmath(self, kernel_modules, monkeypatch):
+        # 400 x q98 of a tables-workload weibull; the tail Gamma(z, 1 + 1/k)
+        # and the denominator Gamma(z, 1) share kernel errors that mostly cancel
+        shape, scale, x = 0.7734231766579448, 5.091014926070762, 11879.86949057921
+        with mpmath.workdps(40):
+            z = (mpmath.mpf(x) / scale) ** shape
+            expected = float(scale * mpmath.gammainc(1 + 1 / mpmath.mpf(shape), z)
+                             * mpmath.exp(z) - x)
+        assert expected == pytest.approx(38.17815320447217, rel=1e-15)
+        d = make_distribution("weibull", {"shape": shape, "scale": scale})
+        for k in kernel_modules:
+            monkeypatch.setattr(distributions, "sf", k)
+            assert d.mrl(x) == pytest.approx(expected, rel=3e-11), k.__name__
 
     def test_survival_underflow_returns_nan(self):
         d = make_distribution("weibull", {"shape": 2.9, "scale": 2.2})
