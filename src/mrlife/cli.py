@@ -25,7 +25,8 @@ import click
 from . import __version__, specfun
 from .distributions import DISTRIBUTION_TAGS, ParameterError, make_distribution
 from .fitting import CensoredSample, fit as fit_mle
-from .regression import (DataError, load_model, predict_residual_life, rows_of,
+from .regression import (DataError, distinct_design_rows, load_model,
+                         predict_residual_life, prediction_rows, rows_of,
                          save_model)
 from .residual import (RESIDUAL_TYPES, ResidualLifeQuery, ResidualLifeTable,
                        residual_life_table)
@@ -48,6 +49,8 @@ def parse_values(spec):
             if len(parts) != 3:
                 raise ValueError("ranges look like start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0.0:
                 raise ValueError("range step must be positive")
             if stop < start:
@@ -72,8 +75,11 @@ def parse_params(spec):
         if "=" not in item:
             raise click.UsageError(f"bad --params entry '{item}'; use name=value")
         name, _, raw = item.partition("=")
+        name = name.strip()
+        if name in params:
+            raise click.UsageError(f"--params names '{name}' more than once")
         try:
-            params[name.strip()] = float(raw)
+            params[name] = float(raw)
         except ValueError:
             raise click.UsageError(f"bad numeric value in --params: '{item}'")
     if not params:
@@ -106,6 +112,13 @@ def _build_dist(dist, params):
     try:
         return make_distribution(dist, params)
     except ParameterError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _validate(query):
+    try:
+        query.validate()
+    except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -235,15 +248,10 @@ _format_option = click.option(
 @_format_option
 def residlife(values, dist, params, p, rtype, fmt):
     """Residual lifetimes for user-supplied distribution parameters."""
-    vals = parse_values(values)
+    query = ResidualLifeQuery(values=parse_values(values), p=p, type=rtype)
     d = _build_dist(dist, parse_params(params))
-    query = ResidualLifeQuery(values=vals, p=p, type=rtype)
-    try:
-        query.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    table = residual_life_table(d, query)
-    emit_table(table, fmt or "table", "residlife")
+    _validate(query)
+    emit_table(residual_life_table(d, query), fmt or "table", "residlife")
 
 
 @main.command()
@@ -307,15 +315,6 @@ def _load_predict_inputs(model_path, newdata_path):
     return model, rows
 
 
-def _predict_table(model, rows, life, p, rtype):
-    try:
-        return predict_residual_life(model, life, p=p, type=rtype, newdata=rows)
-    except (DataError, ParameterError) as exc:
-        raise click.ClickException(str(exc))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path(),
               help="Model file written by 'mrlife fit'.")
@@ -332,7 +331,12 @@ def predict(model_path, life, p, rtype, newdata_path, fmt):
     if not life > 0.0:
         raise click.UsageError("--life must be positive")
     model, rows = _load_predict_inputs(model_path, newdata_path)
-    table = _predict_table(model, rows, life, p, rtype)
+    try:
+        table = predict_residual_life(model, life, p=p, type=rtype, newdata=rows)
+    except (DataError, ParameterError) as exc:
+        raise click.ClickException(str(exc))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     emit_table(table, fmt or "table", "predict")
 
 
@@ -364,26 +368,26 @@ def curve(model_path, newdata_path, dist, params, life_range, p, rtype,
     if fmt == "svg" and rtype == "all":
         raise click.UsageError("svg output draws a single curve; pick one type")
 
-    columns = {}
+    query = ResidualLifeQuery(values=lives, p=p, type=rtype)
     if model_path is not None:
         model, rows = _load_predict_inputs(model_path, newdata_path)
-        for life in lives:
-            table = _predict_table(model, rows, life, p, rtype)
-            if len(table) == 0:
+        try:
+            rows = prediction_rows(model, rows)
+            query.validate()
+            designs, _ = distinct_design_rows(model.schema, rows)
+            if not designs:
                 raise click.ClickException("model yielded no prediction rows")
-            for name in table.column_names:
-                columns.setdefault(name, []).append(table.columns[name][0])
+            d = model.resolve_parameters(designs[0])
+        except (DataError, ParameterError) as exc:
+            raise click.ClickException(str(exc))
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     else:
         if not params:
             raise click.UsageError("--params is required with --dist")
         d = _build_dist(dist, parse_params(params))
-        query = ResidualLifeQuery(values=lives, p=p, type=rtype)
-        try:
-            query.validate()
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        table = residual_life_table(d, query)
-        columns = table.columns
+        _validate(query)
+    columns = residual_life_table(d, query).columns
 
     if fmt == "csv":
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -158,58 +158,36 @@ class Distribution:
 
     def _isf_from_ln(self, ln_target):
         # Bracketing bisection on ln(t): ln_survival is monotone decreasing.
-        # A bracket end in a NaN band moves back to a finite point past the
-        # target; a NaN survival that leaves none gives NaN, not a root made
-        # up from the pivot.
+        # A bracket end in a NaN band is flagged, and NaN midpoints move it
+        # until a finite one on its side of the target clears the flag.  An
+        # end still flagged at the close, or a NaN midpoint while neither
+        # is, gives NaN, not a root made up from the pivot.
         lo = hi = self._pivot()
         while (ln_s := self.ln_survival(hi)) > ln_target:
             hi *= 8.0
             if hi > 1e300:
                 return _INF
-        if ln_s != ln_s:
-            if hi == lo:
-                return _NAN
-            hi = self._finite_crossing(hi / 8.0, hi, ln_target, True)
+        nan_hi = ln_s != ln_s
         while (ln_s := self.ln_survival(lo)) <= ln_target:
             lo /= 8.0
             if lo < 1e-300:
                 return 0.0
-        if ln_s != ln_s:
-            lo = self._finite_crossing(lo * 8.0, lo, ln_target, False)
-        if lo != lo or hi != hi:
-            return _NAN
+        nan_lo = ln_s != ln_s
         ln_lo, ln_hi = math.log(lo), math.log(hi)
         for _ in range(200):
             ln_mid = 0.5 * (ln_lo + ln_hi)
             ln_s = self.ln_survival(math.exp(ln_mid))
-            if ln_s > ln_target:
-                ln_lo = ln_mid
-            elif ln_s <= ln_target:
-                ln_hi = ln_mid
+            if ln_s > ln_target or (nan_lo and ln_s != ln_s):
+                ln_lo, nan_lo = ln_mid, ln_s != ln_s
+            elif ln_s <= ln_target or nan_hi:
+                ln_hi, nan_hi = ln_mid, ln_s != ln_s
             else:
                 return _NAN
             if ln_hi - ln_lo < 4e-16 * max(1.0, abs(ln_hi)):
                 break
+        if nan_lo or nan_hi:
+            return _NAN
         return math.exp(0.5 * (ln_lo + ln_hi))
-
-    def _finite_crossing(self, t_finite, t_nan, ln_target, above):
-        """A t between t_finite and t_nan with a finite ln_survival on the far
-        side of ln_target (at or below it when t_finite's is ``above``),
-        by bisection on ln t; NaN when the NaN band starts before any."""
-        ln_a, ln_b = math.log(t_finite), math.log(t_nan)
-        for _ in range(200):
-            ln_mid = 0.5 * (ln_a + ln_b)
-            t = math.exp(ln_mid)
-            ln_s = self.ln_survival(t)
-            if ln_s != ln_s:
-                ln_b = ln_mid
-            elif (ln_s > ln_target) == above:
-                ln_a = ln_mid
-            else:
-                return t
-            if abs(ln_b - ln_a) < 4e-16 * max(1.0, abs(ln_a), abs(ln_b)):
-                break
-        return _NAN
 
     # -- moments and residual life ----------------------------------------
 

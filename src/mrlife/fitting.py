@@ -11,9 +11,11 @@ the delta method; a Hessian that is not positive definite gives NaN for
 every standard error.  95% intervals are est*exp(+-1.96*se) for log-scale
 parameters and est +- 1.96*se otherwise.
 
-One likelihood core, ``_loglik``, serves ``censored_loglik`` and the fit
-objective, and the location comes from ``regression.linear_predictor`` in
-both, so the ``loglik`` a fit reports equals ``censored_loglik`` of the
+One likelihood core, ``_loglik``, sums over the distributions that
+``SurvivalModel.resolve_parameters`` builds, one per distinct design row,
+for ``censored_loglik`` and for the fit objective.  The objective scores
+the model at each trial point and ``fit`` returns the model at the last
+one, so the ``loglik`` a fit reports equals ``censored_loglik`` of the
 model it returns, to the bit.
 """
 import math
@@ -22,10 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .distributions import (DISTRIBUTION_TAGS, Distribution, PARAM_NAMES,
-                            POSITIVE_PARAMS, _exp, make_distribution)
+                            POSITIVE_PARAMS, _exp)
 from .regression import (Covariate, CovariateSchema, LOCATION_PARAMS,
-                         SurvivalModel, distinct_design_rows, linear_predictor,
-                         rows_of)
+                         SurvivalModel, distinct_design_rows, rows_of)
 
 _BIG = 1e12
 _Z95 = 1.96
@@ -86,23 +87,14 @@ class FitResult:
     n_events: int
 
 
-def _loglik(tag, params, locations, groups, sample):
-    """Censored log likelihood of ``tag`` with ``params`` and, on row i, the
-    location ``locations[groups[i]]``: ``censored_loglik`` and ``fit``'s
-    objective both call it.  It builds one distribution per distinct
-    location, as rows reach it, and sums the scalar terms in row order.
-    NaN when the sum is not finite; ParameterError outside the domain.
+def _loglik(dists, groups, sample):
+    """Censored log likelihood with row i drawn from ``dists[groups[i]]``:
+    ``censored_loglik`` and ``fit``'s objective both call it.  The scalar
+    terms are summed in row order; NaN once the sum is not finite.
     """
-    location = LOCATION_PARAMS[tag][0]
-    params = dict(params)
-    dists = {}  # groups that share a location value share a distribution
     total = 0.0
     for group, ti, ei in zip(groups, sample.time, sample.event):
-        loc = locations[group]
-        d = dists.get(loc)
-        if d is None:
-            params[location] = loc
-            d = dists[loc] = make_distribution(tag, params)
+        d = dists[group]
         total += d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
         if not math.isfinite(total):
             return float("nan")
@@ -119,17 +111,13 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
     by ``fit`` this is, to the bit, the ``loglik`` that ``fit`` reported.
     """
     if isinstance(obj, Distribution):
-        params = obj.params()
-        locations = [params[LOCATION_PARAMS[obj.tag][0]]]
-        groups = [0] * len(sample)
-        return _loglik(obj.tag, params, locations, groups, sample)
+        return _loglik([obj], [0] * len(sample), sample)
     if isinstance(obj, SurvivalModel):
         names = [c.name for c in obj.schema.covariates]
         rows = rows_of(sample.covariates or {}, names, len(sample))
         designs, groups = distinct_design_rows(obj.schema, rows)
-        locations = [linear_predictor(obj.dist, obj.coefficients, design)
-                     for design in designs]
-        return _loglik(obj.dist, obj.baseline, locations, groups, sample)
+        return _loglik([obj.resolve_parameters(d) for d in designs], groups,
+                       sample)
     raise TypeError("expected a Distribution or SurvivalModel")
 
 
@@ -186,6 +174,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     design_cols = schema.column_names
     rows = rows_of(sample.covariates or {}, list(covariates), len(sample))
     designs, groups = distinct_design_rows(schema, rows)
+    training_rows = tuple(rows) if covariates else None
 
     start = _start_values(dist, sample)
     theta0 = ([_transform(dist, name, start[name]) for name in param_names]
@@ -193,16 +182,18 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     loc_index = param_names.index(LOCATION_PARAMS[dist][0])
     n_params = len(param_names)
 
-    def loglik(theta):
-        values = [float(v) for v in theta]
+    def model_at(theta):
+        baseline = {name: _back_transform(dist, name, theta[i])
+                    for i, name in enumerate(param_names)}
         # intercept first: the location slot of theta, then the design betas
-        coefficients = [values[loc_index]] + values[n_params:]
+        coefficients = tuple([theta[loc_index]] + theta[n_params:])
+        return SurvivalModel(dist, baseline, coefficients, schema, training_rows)
+
+    def loglik(theta):
         try:
-            params = {name: _back_transform(dist, name, values[i])
-                      for i, name in enumerate(param_names)}
-            locations = [linear_predictor(dist, coefficients, design)
-                         for design in designs]
-            return _loglik(dist, params, locations, groups, sample)
+            model = model_at([float(v) for v in theta])
+            return _loglik([model.resolve_parameters(d) for d in designs],
+                           groups, sample)
         except (ValueError, ArithmeticError):  # outside the domain or float range
             return float("nan")
 
@@ -229,14 +220,6 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
             ci95[name] = (est - _Z95 * se, est + _Z95 * se)
         estimates[name] = est
 
-    baseline = {name: estimates[name] for name in param_names}
-    model = SurvivalModel(
-        dist=dist,
-        baseline=baseline,
-        coefficients=tuple([theta_hat[loc_index]] + theta_hat[n_params:]),
-        schema=schema,
-        training_rows=tuple(rows) if covariates else None,
-    )
     result = FitResult(
         estimates=estimates,
         std_errors=std_errors,
@@ -247,7 +230,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         n=len(sample),
         n_events=sample.event.count(1.0),
     )
-    return result, model
+    return result, model_at(theta_hat)
 
 
 @dataclass(frozen=True)

@@ -167,26 +167,6 @@ def distinct_design_rows(schema: CovariateSchema, rows):
     return designs, group_of_row
 
 
-def linear_predictor(dist: str, coefficients: Sequence[float],
-                     design_row: Sequence[float]) -> float:
-    """Location parameter of ``dist`` for one design row: eta = intercept +
-    sum of beta * value, or exp(eta) under the log link (ParameterError
-    when that overflows)."""
-    if len(design_row) != len(coefficients) - 1:
-        raise DataError(f"design row has {len(design_row)} columns; "
-                        f"model expects {len(coefficients) - 1}",
-                        code="bad_design_row")
-    eta = coefficients[0]
-    for beta, value in zip(coefficients[1:], design_row):
-        eta += beta * value
-    if LOCATION_PARAMS[dist][1] != "log":
-        return eta
-    try:
-        return math.exp(eta)
-    except OverflowError:
-        raise ParameterError(f"linear predictor {eta!r} overflows exp()") from None
-
-
 @dataclass(frozen=True)
 class SurvivalModel:
     """Fitted or user-supplied survival model with a covariate linear predictor.
@@ -212,14 +192,40 @@ class SurvivalModel:
         return LOCATION_PARAMS[self.dist][1]
 
     def resolve_parameters(self, design_row: Sequence[float]) -> Distribution:
-        """Distribution for one design row: linear predictor into the location."""
-        params = dict(self.baseline)
-        params[self.location_param] = linear_predictor(
-            self.dist, self.coefficients, design_row)
-        return make_distribution(self.dist, params)
+        """Distribution for one design row: eta = intercept + sum of beta *
+        value into the location, as exp(eta) under the log link
+        (ParameterError when that overflows)."""
+        if len(design_row) != len(self.coefficients) - 1:
+            raise DataError(f"design row has {len(design_row)} columns; "
+                            f"model expects {len(self.coefficients) - 1}",
+                            code="bad_design_row")
+        location, link = LOCATION_PARAMS[self.dist]
+        eta = self.coefficients[0]
+        for beta, value in zip(self.coefficients[1:], design_row):
+            eta += beta * value
+        if link == "log":
+            try:
+                eta = math.exp(eta)
+            except OverflowError:
+                raise ParameterError(f"linear predictor {eta!r} overflows "
+                                     f"exp()") from None
+        return make_distribution(self.dist, {**self.baseline, location: eta})
 
     def resolve_row(self, row) -> Distribution:
         return self.resolve_parameters(self.schema.design_row(row))
+
+
+def prediction_rows(model: SurvivalModel, newdata=None):
+    """The rows a prediction covers: ``newdata``, else the model's stored
+    training rows, else one empty row for a model without covariates."""
+    if newdata is not None:
+        return newdata
+    if model.training_rows is not None:
+        return model.training_rows
+    if model.schema.covariates:
+        raise DataError("model has covariates but no stored training "
+                        "rows; supply newdata", code="missing_data")
+    return [{}]
 
 
 def predict_residual_life(model: SurvivalModel, life, p=0.5, type="mean",
@@ -233,23 +239,14 @@ def predict_residual_life(model: SurvivalModel, life, p=0.5, type="mean",
     """
     if not life > 0.0:
         raise ValueError("life must be a positive number")
-    rows = newdata
-    if rows is None:
-        if model.training_rows is None:
-            if model.schema.covariates:
-                raise DataError("model has covariates but no stored training "
-                                "rows; supply newdata", code="missing_data")
-            rows = [{}]
-        else:
-            rows = model.training_rows
+    rows = prediction_rows(model, newdata)
     query = ResidualLifeQuery(values=[life], p=p, type=type)
     query.validate()
     designs, group_of_row = distinct_design_rows(model.schema, rows)
     tables = [residual_life_table(model.resolve_parameters(design), query)
               for design in designs]
-    table = ResidualLifeTable(values=[])
+    table = ResidualLifeTable(values=[float(life)] * len(group_of_row))
     for group in group_of_row:
-        table.values.append(float(life))
         for name, col in tables[group].columns.items():
             table.columns.setdefault(name, []).extend(col)
     return table

@@ -49,10 +49,6 @@ class ResidualLifeTable:
     def column_names(self):
         return list(self.columns)
 
-    def rows(self):
-        cols = list(self.columns.values())
-        return [tuple(col[i] for col in cols) for i in range(len(self.values))]
-
     def __len__(self):
         return len(self.values)
 

@@ -64,8 +64,3 @@ ln_reg_inc_beta = _impl.ln_reg_inc_beta
 gauss_2f1 = _impl.gauss_2f1
 ln_std_normal_sf = _impl.ln_std_normal_sf
 std_normal_quantile = _impl.std_normal_quantile
-
-
-def using_compiled_kernels():
-    """True when the compiled extension is the active backend."""
-    return BACKEND == "compiled"

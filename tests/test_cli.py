@@ -96,6 +96,14 @@ class TestParseValues:
         with pytest.raises(click.UsageError):
             parse_values("10:1:0.5")
 
+    @pytest.mark.parametrize("spec", ["1:inf:1", "-inf:1:1", "1:2:inf",
+                                      "nan:2:1"])
+    def test_non_finite_range_bound_exit_2(self, spec):
+        res = run(["residlife", "--values", spec, *WEIBULL_ARGS])
+        assert res.exit_code == 2
+        assert "bad --values/--range" in res.output
+        assert "Traceback" not in res.output
+
 
 class TestResidlife:
     def test_golden_weibull_csv(self):
@@ -149,6 +157,12 @@ class TestResidlife:
         assert res.exit_code == 2
         assert f"Error: parameters out of numerical range for {dist}" in res.output
         assert "Traceback" not in res.output
+
+    def test_repeated_parameter_name_exit_2(self):
+        res = run(["residlife", "--values", "1", "--dist", "weibull",
+                   "--params", "shape=1.2,scale=3,shape=2"])
+        assert res.exit_code == 2
+        assert "'shape' more than once" in res.output
 
     def test_bad_p_exit_2(self):
         res = run(["residlife", "--values", "1", *WEIBULL_ARGS, "--p", "1.5"])
@@ -485,6 +499,35 @@ class TestCurveCommand:
                         "--format", "json"])
             expected = json.loads(pred.output)["columns"]["mean"][0]
             assert value == expected
+
+    def test_model_route_type_all_matches_predict_per_point(
+            self, tmp_path, fitted_covariate_model):
+        newdata = tmp_path / "two.csv"
+        write_csv(newdata, {"age": [43.0, 61.0], "group": ["Medium", "Poor"]})
+        out = tmp_path / "curve.csv"
+        res = run(["curve", "--model", str(fitted_covariate_model),
+                   "--newdata", str(newdata), "--range", "1:9:2", "--p", "0.7",
+                   "--type", "all", "--out", str(out)])
+        assert res.exit_code == 0
+        cols = parse_csv(out.read_text())
+        assert list(cols) == ["life", "mean", "median", "percentile"]
+        for i, life in enumerate(cols["life"]):
+            pred = run(["predict", "--model", str(fitted_covariate_model),
+                        "--life", str(life), "--newdata", str(newdata),
+                        "--p", "0.7", "--type", "all", "--format", "json"])
+            expected = json.loads(pred.output)["columns"]
+            for name in ("mean", "median", "percentile"):
+                assert cols[name][i] == expected[name][0], (life, name)
+
+    def test_model_route_unseen_level_in_a_later_row_exit_1(
+            self, tmp_path, fitted_covariate_model):
+        bad = tmp_path / "bad.csv"
+        write_csv(bad, {"age": [43.0, 35.0], "group": ["Medium", "Terrible"]})
+        res = run(["curve", "--model", str(fitted_covariate_model),
+                   "--newdata", str(bad), "--range", "1:3:1",
+                   "--out", str(tmp_path / "c.csv")])
+        assert res.exit_code == 1
+        assert "Incorrect Level Entered" in res.output
 
     def test_svg_is_well_formed_with_one_polyline(self, tmp_path):
         out = tmp_path / "curve.svg"

@@ -71,7 +71,7 @@ KERNELS = _public_functions(pk)
 def test_one_kernel_name_set(compiled_kernels):
     # the tracer wraps every name in _KERNEL_NAMES, so a stale entry there
     # breaks every traced perfbench run
-    aliases = _public_functions(sf) - {"using_compiled_kernels"}
+    aliases = _public_functions(sf)
     assert aliases == KERNELS
     for name in aliases:
         assert getattr(sf, name) is getattr(sf._impl, name), name
@@ -165,4 +165,3 @@ def test_pure_python_frozen_values():
 
 def test_selected_backend_is_reported():
     assert sf.BACKEND in ("compiled", "python")
-    assert sf.using_compiled_kernels() == (sf.BACKEND == "compiled")
