@@ -32,6 +32,7 @@ from .residual import (RESIDUAL_TYPES, ResidualLifeQuery, ResidualLifeTable,
                        residual_life_table)
 
 _FORMATS = ("table", "csv", "json")
+MAX_VALUES = 1_000_000  # lifetimes one --values/--range may make
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,8 @@ _FORMATS = ("table", "csv", "json")
 # ---------------------------------------------------------------------------
 
 def parse_values(spec):
-    """Comma list ('1,2.5,4') or inclusive range ('start:stop:step')."""
+    """Comma list ('1,2.5,4') or inclusive range ('start:stop:step') of at
+    most MAX_VALUES values."""
     s = spec.strip()
     try:
         if ":" in s:
@@ -55,7 +57,10 @@ def parse_values(spec):
                 raise ValueError("range step must be positive")
             if stop < start:
                 raise ValueError("empty range: stop is below start")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step + 1e-9
+            if not span < MAX_VALUES:  # int(span) + 1 values; inf on overflow
+                raise ValueError(f"a range makes at most {MAX_VALUES:,} values")
+            n = int(span) + 1
             values = [start + i * step for i in range(n)]
             if values and abs(values[-1] - stop) < 1e-9 * max(1.0, abs(stop)):
                 values[-1] = stop
@@ -305,7 +310,7 @@ def _load_predict_inputs(model_path, newdata_path):
     """The model and the newdata rows (None: the model's training rows)."""
     try:
         model = load_model(model_path)
-    except (OSError, json.JSONDecodeError, DataError, KeyError) as exc:
+    except (OSError, DataError) as exc:
         raise click.ClickException(f"cannot load model {model_path}: {exc}")
     rows = None
     if newdata_path:

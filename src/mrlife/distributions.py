@@ -19,14 +19,15 @@ Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 defines three formulas, ``ln_pdf``, ``ln_survival`` and ``_mrl``; ``pdf``
 and ``survival`` are the exponentials of the first two.  The mean residual
 life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space.
-Beyond the three one-liner families (exponential, gompertz, lnorm), T is
-a power of a gamma or of a beta-prime variable, and one of two family cores, ``_GammaPower`` and ``_BetaPrimePower``, carries every
-method; each family on them only maps its parameters.  When the survival
-probability at ``x`` underflows to zero the result is NaN (the same
-degenerate rows a double-precision reference produces).  ``pdf`` is 0 at
-t = inf and takes its limit at t = 0 (0, finite or +inf).  Distribution
-objects are immutable after construction and all methods are pure, so
-instances are safe to share across threads.
+The exponential is the Gompertz at shape 0 and takes its formulas.  Beyond
+gompertz and lnorm, T is a power of a gamma or of a beta-prime variable,
+and one of two family cores, ``_GammaPower`` and ``_BetaPrimePower``,
+carries every method; each family on them only maps its parameters.
+When the survival probability at ``x`` underflows to zero the result is
+NaN (the same degenerate rows a double-precision reference produces).
+``pdf`` is 0 at t = inf and takes its limit at t = 0 (0, finite or
++inf).  Distribution objects are immutable after construction and all
+methods are pure, so instances are safe to share across threads.
 """
 import math
 from typing import NamedTuple
@@ -308,28 +309,6 @@ class _BetaPrimePower(Distribution):
                     - sf.ln_reg_inc_beta(v, s2, s1)) - x
 
 
-class Exponential(Distribution):
-    """Constant-hazard lifetime; the memoryless baseline."""
-
-    tag = "exponential"
-    param_names = ("rate",)
-
-    def __init__(self, rate):
-        self.rate = rate
-
-    def ln_pdf(self, t):
-        return math.log(self.rate) - self.rate * t
-
-    def ln_survival(self, t):
-        return -self.rate * t
-
-    def _isf_from_ln(self, ln_s):
-        return -ln_s / self.rate
-
-    def _mrl(self, x):
-        return 1.0 / self.rate
-
-
 class Weibull(_GammaPower):
     """Weibull lifetime with shape alpha and scale lambda: k = 1, b = shape."""
 
@@ -361,7 +340,7 @@ class Gamma(_GammaPower):
 
 
 class Gompertz(Distribution):
-    """Gompertz lifetime; shape is the aging rate and may be any real."""
+    """Gompertz lifetime, hazard rate * exp(shape * t); shape may be any real."""
 
     tag = "gompertz"
     param_names = ("shape", "rate")
@@ -399,6 +378,16 @@ class Gompertz(Distribution):
             return 1.0 / self.rate
         z = (self.rate / self.shape) * _exp(self.shape * x)
         return sf.exp_integral_e1_scaled(z) / self.shape
+
+
+class Exponential(Gompertz):
+    """Constant-hazard lifetime: the Gompertz at shape 0."""
+
+    tag = "exponential"
+    param_names = ("rate",)
+
+    def __init__(self, rate):
+        super().__init__(0.0, rate)
 
 
 class LogNormal(Distribution):

@@ -150,14 +150,6 @@ def _start_values(tag, sample):
     return {name: defaults[name] for name in PARAM_NAMES[tag]}
 
 
-def _transform(tag, name, value):
-    return math.log(value) if name in POSITIVE_PARAMS[tag] else value
-
-
-def _back_transform(tag, name, value):
-    return math.exp(value) if name in POSITIVE_PARAMS[tag] else value
-
-
 def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     """Fit one family to a censored sample, optionally with covariates.
 
@@ -176,15 +168,19 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     designs, groups = distinct_design_rows(schema, rows)
     training_rows = tuple(rows) if covariates else None
 
+    # positive parameters live on the log scale in theta; the betas never do
+    on_log = ([name in POSITIVE_PARAMS[dist] for name in param_names]
+              + [False] * len(design_cols))
     start = _start_values(dist, sample)
-    theta0 = ([_transform(dist, name, start[name]) for name in param_names]
+    theta0 = ([math.log(start[name]) if log else start[name]
+               for name, log in zip(param_names, on_log)]
               + [0.0] * len(design_cols))
     loc_index = param_names.index(LOCATION_PARAMS[dist][0])
     n_params = len(param_names)
 
     def model_at(theta):
-        baseline = {name: _back_transform(dist, name, theta[i])
-                    for i, name in enumerate(param_names)}
+        baseline = {name: math.exp(value) if log else value
+                    for name, log, value in zip(param_names, on_log, theta)}
         # intercept first: the location slot of theta, then the design betas
         coefficients = tuple([theta[loc_index]] + theta[n_params:])
         return SurvivalModel(dist, baseline, coefficients, schema, training_rows)
@@ -211,7 +207,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     estimates, std_errors, ci95 = {}, {}, {}
     for i, name in enumerate(names):
         est, se = theta_hat[i], se_t[i]
-        if i < n_params and name in POSITIVE_PARAMS[dist]:
+        if on_log[i]:
             est = math.exp(est)
             std_errors[name] = est * se
             ci95[name] = (est * _exp(-_Z95 * se), est * _exp(_Z95 * se))

@@ -14,27 +14,26 @@ rows so that predictions without new data keep working after a reload.
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .distributions import Distribution, ParameterError, make_distribution
+from .distributions import (PARAM_NAMES, POSITIVE_PARAMS, Distribution,
+                            ParameterError, make_distribution)
 from .residual import ResidualLifeQuery, ResidualLifeTable, residual_life_table
 
 MODEL_SCHEMA_VERSION = 1
 
-# location parameter receiving the linear predictor, per distribution tag
+# location parameter receiving the linear predictor, per distribution tag,
+# with its link: log exactly where the fit estimates it on the log scale
 LOCATION_PARAMS = {
-    "exponential": ("rate", "log"),
-    "weibull": ("scale", "log"),
-    "gamma": ("rate", "log"),
-    "gompertz": ("rate", "log"),
-    "lnorm": ("meanlog", "identity"),
-    "llogis": ("scale", "log"),
-    "gengamma.orig": ("scale", "log"),
-    "gengamma": ("mu", "identity"),
-    "genf.orig": ("mu", "identity"),
-    "genf": ("mu", "identity"),
+    tag: (name, "log" if name in POSITIVE_PARAMS[tag] else "identity")
+    for tag, name in (("exponential", "rate"), ("weibull", "scale"),
+                      ("gamma", "rate"), ("gompertz", "rate"),
+                      ("lnorm", "meanlog"), ("llogis", "scale"),
+                      ("gengamma.orig", "scale"), ("gengamma", "mu"),
+                      ("genf.orig", "mu"), ("genf", "mu"))
 }
 
 
@@ -75,6 +74,8 @@ class Covariate:
                              f"got '{self.kind}'")
         if self.kind == "categorical" and not self.levels:
             raise ValueError(f"categorical covariate '{self.name}' needs levels")
+        if len(set(self.levels)) != len(self.levels):  # one value, two indicators
+            raise ValueError(f"covariate '{self.name}' repeats a level")
 
 
 @dataclass(frozen=True)
@@ -271,25 +272,69 @@ def model_to_dict(model: SurvivalModel) -> dict:
     return doc
 
 
+def _require(condition, message):
+    if not condition:
+        raise DataError(message, code="bad_model_file")
+
+
+def _is_number(value):
+    """A JSON number that float() takes: no bool, no int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _is_covariate(entry):
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("levels", []), list)
+            and all(isinstance(level, str) for level in entry.get("levels", [])))
+
+
 def model_from_dict(doc: dict) -> SurvivalModel:
+    """The model a ``model_to_dict`` document describes.  Anything else
+    raises DataError (``bad_model_file``) here, not at prediction: a
+    location_param or link other than the family's, baseline names other
+    than PARAM_NAMES[dist], a value that is not a number, or a coefficient
+    count other than 1 + the number of design columns."""
+    _require(isinstance(doc, dict), "a model file holds one JSON object")
     version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema_version: {version!r}",
-                        code="bad_model_file")
-    covs = tuple(
-        Covariate(name=c["name"], kind=c["kind"],
-                  levels=tuple(c.get("levels", ())))
-        for c in doc.get("covariates", ())
-    )
+    _require(version == MODEL_SCHEMA_VERSION,
+             f"unsupported model schema_version: {version!r}")
+    dist = doc.get("dist")
+    _require(isinstance(dist, str) and dist in LOCATION_PARAMS,
+             f"unknown distribution {dist!r}")
+    for key, expected in zip(("location_param", "link"), LOCATION_PARAMS[dist]):
+        _require(doc.get(key, expected) == expected,
+                 f"{key} of {dist} is {expected!r}, not {doc.get(key)!r}")
+    names = PARAM_NAMES[dist]
+    baseline = doc.get("baseline")
+    _require(isinstance(baseline, dict) and set(baseline) == set(names)
+             and all(map(_is_number, baseline.values())),
+             f"baseline of {dist} must give numbers for {', '.join(names)}")
+    entries = doc.get("covariates", [])
+    _require(isinstance(entries, list) and all(map(_is_covariate, entries)),
+             "covariates must be a list of {name, kind, levels} objects")
+    try:
+        schema = CovariateSchema(tuple(
+            Covariate(c["name"], c.get("kind"), tuple(c.get("levels", ())))
+            for c in entries))
+    except ValueError as exc:
+        raise DataError(f"bad covariates: {exc}", code="bad_model_file") from None
+    coefficients = doc.get("coefficients")
+    count = 1 + len(schema.column_names)
+    _require(isinstance(coefficients, list) and len(coefficients) == count
+             and all(map(_is_number, coefficients)),
+             f"coefficients must be the intercept and one number per design "
+             f"column, {count} in all")
     rows = doc.get("training_rows")
-    if rows is not None and not all(isinstance(row, dict) for row in rows):
-        raise DataError("training_rows must be a list of objects",
-                        code="bad_model_file")
+    _require(rows is None or isinstance(rows, list)
+             and all(isinstance(row, dict) for row in rows),
+             "training_rows must be a list of objects")
     return SurvivalModel(
-        dist=doc["dist"],
-        baseline={k: float(v) for k, v in doc["baseline"].items()},
-        coefficients=tuple(float(c) for c in doc["coefficients"]),
-        schema=CovariateSchema(covs),
+        dist=dist,
+        baseline={k: float(v) for k, v in baseline.items()},
+        coefficients=tuple(float(c) for c in coefficients),
+        schema=schema,
         training_rows=tuple(_shared_rows(rows)) if rows is not None else None,
     )
 
@@ -312,6 +357,12 @@ def save_model(model: SurvivalModel, path):
 
 
 def load_model(path) -> SurvivalModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model; a file that is not UTF-8 JSON
+    raises DataError (``bad_model_file``) too, see model_from_dict."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # decode or nesting depth
+            raise DataError(f"not a JSON document: {exc}",
+                            code="bad_model_file") from None
+    return model_from_dict(doc)

@@ -13,7 +13,8 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
-from mrlife.cli import main, parse_values
+from mrlife.cli import MAX_VALUES, main, parse_values
+from mrlife.regression import DataError, load_model
 
 from conftest import weibull_censored_sample
 
@@ -100,6 +101,16 @@ class TestParseValues:
                                       "nan:2:1"])
     def test_non_finite_range_bound_exit_2(self, spec):
         res = run(["residlife", "--values", spec, *WEIBULL_ARGS])
+        assert res.exit_code == 2
+        assert "bad --values/--range" in res.output
+        assert "Traceback" not in res.output
+
+    def test_range_is_capped(self):
+        import click
+        assert len(parse_values(f"1:{MAX_VALUES}:1")) == MAX_VALUES
+        with pytest.raises(click.UsageError, match="at most"):
+            parse_values(f"1:{MAX_VALUES + 1}:1")
+        res = run(["residlife", "--values", "0:1e9:1e-3", *WEIBULL_ARGS])
         assert res.exit_code == 2
         assert "bad --values/--range" in res.output
         assert "Traceback" not in res.output
@@ -329,6 +340,25 @@ class TestFitCommand:
         model_doc = json.loads(model_path.read_text())
         assert model_doc["schema_version"] == 1
 
+    def test_fit_csv_matches_json(self, tmp_path):
+        path = tmp_path / "covariate.csv"
+        time, event = weibull_censored_sample(120, 1.5, 4.0, 0.2, seed=7)
+        write_csv(path, {"t": list(time), "status": [int(e) for e in event],
+                         "group": ["abc"[i % 3] for i in range(120)]})
+        args = ["fit", "--data", str(path), "--time", "t", "--event", "status",
+                "--dist", "weibull", "--covariates", "group", "--format"]
+        doc = json.loads(run(args + ["json"]).output)
+        res = run(args + ["csv"])
+        assert res.exit_code == 0
+        rows = list(csv.reader(res.output.splitlines()))
+        assert rows[0] == ["parameter", "est", "L95", "U95", "se"]
+        assert [row[0] for row in rows[1:]] == list(doc["estimates"])
+        for name, est, lo, hi, se in rows[1:]:
+            # repr round trip: the csv cells carry every bit of the json floats
+            assert float(est) == doc["estimates"][name]
+            assert [float(lo), float(hi)] == doc["ci95"][name]
+            assert float(se) == doc["std_errors"][name]
+
     def test_fit_table_output(self, weibull_csv):
         res = run(["fit", "--data", str(weibull_csv), "--time", "t",
                    "--event", "status", "--dist", "weibull"])
@@ -467,6 +497,68 @@ class TestPredictCommand:
         res = run(["predict", "--model", str(fitted_covariate_model),
                    "--life", "0"])
         assert res.exit_code == 2
+
+
+_MODEL_DOC = {
+    "schema_version": 1, "dist": "weibull",
+    "baseline": {"shape": 1.4, "scale": 4.0},
+    "location_param": "scale", "link": "log",
+    "coefficients": [1.4, 0.2, -0.3],
+    "covariates": [{"name": "group", "kind": "categorical",
+                    "levels": ["a", "b", "c"]}],
+    "training_rows": [{"group": "b"}, {"group": "c"}],
+}
+
+_BAD_MODEL_DOCS = {
+    "array": [_MODEL_DOC],
+    "unknown_dist": {**_MODEL_DOC, "dist": "foo"},
+    "dist_not_a_string": {**_MODEL_DOC, "dist": ["weibull"]},
+    "baseline_names": {**_MODEL_DOC, "baseline": {"shape": 1.4, "rate": 4.0}},
+    "baseline_value": {**_MODEL_DOC, "baseline": {"shape": "x", "scale": 4.0}},
+    "covariate_kind": {**_MODEL_DOC, "covariates": [
+        {"name": "group", "kind": "factor", "levels": ["a", "b", "c"]}]},
+    "covariate_entry": {**_MODEL_DOC, "covariates": ["group"]},
+    "repeated_level": {**_MODEL_DOC, "covariates": [
+        {"name": "group", "kind": "categorical", "levels": ["a", "a", "b"]}]},
+    "too_few_coefficients": {**_MODEL_DOC, "coefficients": [1.4, 0.2]},
+    "coefficients_without_covariates": {
+        **_MODEL_DOC, "covariates": [], "training_rows": None,
+        "coefficients": [1.4, 0.2]},
+    "coefficient_value": {**_MODEL_DOC, "coefficients": [1.4, None, -0.3]},
+    "coefficient_past_float_range": {**_MODEL_DOC,
+                                     "coefficients": [10 ** 400, 0.2, -0.3]},
+    "location_param": {**_MODEL_DOC, "location_param": "shape"},
+    "link": {**_MODEL_DOC, "link": "identity"},
+    "training_rows": {**_MODEL_DOC, "training_rows": 3},
+}
+_BAD_MODEL_TEXTS = {
+    "truncated": json.dumps(_MODEL_DOC)[:-1],
+    "not_utf8": "\udcff{}",
+    "nested_too_deep": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MODEL_DOCS) + list(_BAD_MODEL_TEXTS))
+def test_malformed_model_file_exit_1(tmp_path, case):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_MODEL_DOC))
+    text = _BAD_MODEL_TEXTS.get(case) or json.dumps(_BAD_MODEL_DOCS[case])
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    load_model(good)
+    with pytest.raises(DataError) as info:
+        load_model(bad)
+    assert info.value.code == "bad_model_file"
+    for path in (good, bad):
+        for argv in (["predict", "--model", str(path), "--life", "2"],
+                     ["curve", "--model", str(path), "--range", "1:3:1",
+                      "--out", str(tmp_path / "curve.csv")]):
+            res = run(argv)
+            assert "Traceback" not in res.output
+            if path is good:
+                assert res.exit_code == 0, res.output
+            else:
+                assert res.exit_code == 1
+                assert f"Error: cannot load model {path}" in res.output
 
 
 class TestCurveCommand:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from mrlife import (DISTRIBUTION_TAGS, ParameterError, convert_genf_to_orig,
-                    convert_gengamma_from_orig, convert_gengamma_to_orig,
-                    make_distribution)
+from mrlife import (DISTRIBUTION_TAGS, ParameterError, ResidualLifeQuery,
+                    convert_genf_to_orig, convert_gengamma_from_orig,
+                    convert_gengamma_to_orig, make_distribution,
+                    residual_life_table)
 from mrlife import distributions
 from mrlife import specfun as sf
 from mrlife.distributions import (_BY_TAG, _CLASSES, Distribution, GenFOrig, GenGamma,
@@ -214,11 +215,21 @@ class TestProbabilityLaw:
         assert d.survival(t) == pytest.approx(0.73760877615505958991, rel=1e-12)
 
     def test_gompertz_zero_shape_is_exponential(self):
+        # every public method, to the bit, t = 0 and t = inf included
         g = make_distribution("gompertz", {"shape": 0.0, "rate": 0.8})
         e = make_distribution("exponential", {"rate": 0.8})
-        for t in (0.0, 0.5, 2.0, 7.0):
-            assert g.survival(t) == pytest.approx(e.survival(t), rel=1e-14)
-        assert g.mean() == pytest.approx(e.mean(), rel=1e-14)
+        calls = [(m, t) for t in (0.0, 0.5, 2.0, 7.0, 1e3, math.inf)
+                 for m in ("pdf", "cdf", "survival", "ln_pdf", "ln_survival", "mrl")]
+        calls += [(m, p) for p in (0.0, 1e-12, 0.3, 0.5, 0.99, 1.0)
+                  for m in ("quantile", "isf")]
+        for method, arg in calls + [("mean", None)]:
+            args = () if arg is None else (arg,)
+            got, want = getattr(g, method)(*args), getattr(e, method)(*args)
+            assert repr(got) == repr(want), (method, arg)  # NaN matches NaN
+        assert e.pdf(0.0) == 0.8 and e.pdf(math.inf) == 0.0
+        assert e.survival(math.inf) == 0.0 and math.isnan(e.mrl(math.inf))
+        assert e.quantile(0.5) == math.log(2.0) / 0.8 and e.isf(0.0) == math.inf
+        assert e.mean() == 1.0 / 0.8
 
     def test_gompertz_negative_shape_has_survival_plateau(self):
         g = make_distribution("gompertz", {"shape": -0.5, "rate": 0.3})
@@ -292,6 +303,20 @@ class TestMoments:
     def test_gengamma_negative_q_mean_frozen(self):
         d = make_distribution("gengamma", {"mu": 0.2, "sigma": 0.6, "Q": -0.8})
         assert d.mean() == pytest.approx(2.20692314071963, rel=1e-10)
+
+    @pytest.mark.parametrize("sigma", [1.25, 2.0, 5.0])
+    def test_gengamma_negative_q_without_mean(self, sigma):
+        # Q < 0 with sigma >= 1/|Q|: k + 1/b = Q**-2 + sigma/Q <= 0, so T has
+        # no mean, while its quantiles stay finite
+        d = make_distribution("gengamma", {"mu": 0.2, "sigma": sigma, "Q": -0.8})
+        assert math.isnan(d.mean())
+        for x in (0.5, 2.0, 10.0):
+            assert math.isnan(d.mrl(x))
+        table = residual_life_table(d, ResidualLifeQuery(
+            values=[0.5, 2.0, 10.0], p=0.7, type="all"))
+        assert all(math.isnan(v) for v in table.columns["mean"])
+        for column in ("median", "percentile"):
+            assert all(math.isfinite(v) and v > 0.0 for v in table.columns[column])
 
     def test_llogis_heavy_tail_has_no_mean(self):
         d = make_distribution("llogis", {"shape": 0.9, "scale": 1.0})
