@@ -17,7 +17,10 @@ package and the CLI::
 Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 ``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  Each family
 defines three formulas, ``ln_pdf``, ``ln_survival`` and ``_mrl``; ``pdf``
-and ``survival`` are the exponentials of the first two.  The mean residual
+and ``survival`` are the exponentials of the first two.  A fourth,
+``ln_pdf_slope`` (d ln f/d ln t), gives ``ln_scale_score``, the location
+score that fitting sums; Gompertz, proportional hazards in its rate,
+states that score directly.  The mean residual
 life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space.
 The exponential is the Gompertz at shape 0 and takes its formulas.  Beyond
 gompertz and lnorm, T is a power of a gamma or of a beta-prime variable,
@@ -131,6 +134,21 @@ class Distribution:
     def ln_pdf(self, t):
         raise NotImplementedError
 
+    def ln_pdf_slope(self, t):
+        """d ln f / d ln t at t > 0."""
+        raise NotImplementedError
+
+    def ln_scale_score(self, t, event, ln_term):
+        """The partial of one row's log-likelihood term ``ln_term`` (ln f(t)
+        for an event, ln S(t) when censored) with respect to ln s, where the
+        family is a law of t/s: s is scale, exp(mu), exp(meanlog) or 1/rate.
+        That is -(1 + d ln f/d ln t) for an event and, when censored,
+        t h(t) = exp(ln f + ln t - ln S), the slope of the cumulative hazard
+        in ln t (Kalbfleisch & Prentice 2002, ch. 3)."""
+        if event:
+            return -1.0 - self.ln_pdf_slope(t)
+        return _exp(self.ln_pdf(t) + math.log(t) - ln_term)
+
     # -- quantiles -------------------------------------------------------
 
     def quantile(self, p):
@@ -162,8 +180,11 @@ class Distribution:
         # A bracket end in a NaN band is flagged, and NaN midpoints move it
         # until a finite one on its side of the target clears the flag.  An
         # end still flagged at the close, or a NaN midpoint while neither
-        # is, gives NaN, not a root made up from the pivot.
+        # is, gives NaN, not a root made up from the pivot.  So does a
+        # pivot of 0 or inf, which no bracket can grow from.
         lo = hi = self._pivot()
+        if not 0.0 < hi < _INF:
+            return _NAN
         while (ln_s := self.ln_survival(hi)) > ln_target:
             hi *= 8.0
             if hi > 1e300:
@@ -238,6 +259,10 @@ class _GammaPower(Distribution):
                                  self._ln_pdf_lead - kb * self._ln_scale)
         return ln_f
 
+    def ln_pdf_slope(self, t):
+        z = _exp(self._b * (_log(t) - self._ln_scale))
+        return -1.0 + self._b * (self._k - z)
+
     def ln_survival(self, t):
         z = _exp(self._b * (_log(t) - self._ln_scale))
         if self._b > 0.0:
@@ -289,6 +314,10 @@ class _BetaPrimePower(Distribution):
             return _ln_pdf_limit(t, self._s1 / self._sigma - 1.0,
                                  self._ln_pdf_lead + self._s1 * self._ln_u0)
         return ln_f
+
+    def ln_pdf_slope(self, t):
+        share = 1.0 / (1.0 + _exp(-self._ln_u0 - _log(t) / self._sigma))  # u/(1+u)
+        return -1.0 + (self._s1 - (self._s1 + self._s2) * share) / self._sigma
 
     def ln_survival(self, t):
         u = _exp(self._ln_u0 + _log(t) / self._sigma)
@@ -354,6 +383,11 @@ class Gompertz(Distribution):
         ln_f = self._ln_rate + self.shape * t + self.ln_survival(t)
         return ln_f if ln_f == ln_f else _ln_pdf_limit(t, 0.0, self._ln_rate)
 
+    def ln_scale_score(self, t, event, ln_term):
+        # proportional hazards in rate: d ln S/d ln rate = ln S and
+        # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign
+        return -event - self.ln_survival(t)
+
     def ln_survival(self, t):
         if self.shape == 0.0:
             return -self.rate * t
@@ -364,11 +398,11 @@ class Gompertz(Distribution):
     def _isf_from_ln(self, ln_s):
         if self.shape == 0.0:
             return -ln_s / self.rate
-        arg = 1.0 - (self.shape / self.rate) * ln_s
-        if arg <= 0.0:
+        y = -(self.shape / self.rate) * ln_s
+        if y <= -1.0:
             # shape < 0 leaves a survival plateau the target never crosses
             return _INF
-        return math.log(arg) / self.shape
+        return math.log1p(y) / self.shape
 
     def _mrl(self, x):
         # exp(z) * E1(z) / shape with z = (rate/shape) * exp(shape*x)
@@ -409,6 +443,9 @@ class LogNormal(Distribution):
         if w == -_INF:
             return -_INF
         return -_log(t) - self._ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w
+
+    def ln_pdf_slope(self, t):
+        return -1.0 - self._w(t) / self.sdlog
 
     def ln_survival(self, t):
         if t <= 0.0:

@@ -2,14 +2,19 @@
 
 Parameters are maximized on an unconstrained scale (log transform for
 strictly positive parameters, identity for the rest) by one BFGS run,
-this module's ``minimize``: central-difference gradients, an Armijo
-backtracking line search, and a stop on the predicted decrease, all on
-Python lists, so fitting needs no array library.  Standard errors
-come from the inverse of a central-finite-difference Hessian at the
-optimum, through its Cholesky factor, mapped back to the natural scale by
-the delta method; a Hessian that is not positive definite gives NaN for
-every standard error.  95% intervals are est*exp(+-1.96*se) for log-scale
-parameters and est +- 1.96*se otherwise.
+this module's ``minimize``: a mixed gradient, an Armijo backtracking line
+search, and a stop on the predicted decrease, all on Python lists, so
+fitting needs no array library.  The partials along the intercept and
+the betas are analytic: each likelihood pass can also sum, per distinct
+design row, the rows' location score ``Distribution.ln_scale_score``,
+and the betas weight those sums by the design values.  The shape
+parameters take central differences.  Standard errors come from the
+inverse of a Hessian at the optimum, through its Cholesky factor, mapped
+back to the natural scale by the delta method: its intercept and beta
+rows are central differences of the analytic partials, the shape block
+central second differences of the objective.  A Hessian that is not
+positive definite gives NaN for every standard error.  95% intervals are
+est*exp(+-1.96*se) for log-scale parameters and est +- 1.96*se otherwise.
 
 One likelihood core, ``_loglik``, sums over the distributions that
 ``SurvivalModel.resolve_parameters`` builds, one per distinct design row,
@@ -87,17 +92,22 @@ class FitResult:
     n_events: int
 
 
-def _loglik(dists, groups, sample):
+def _loglik(dists, groups, sample, scores=None):
     """Censored log likelihood with row i drawn from ``dists[groups[i]]``:
     ``censored_loglik`` and ``fit``'s objective both call it.  The scalar
-    terms are summed in row order; NaN once the sum is not finite.
+    terms are summed in row order; NaN once the sum is not finite.  Given
+    ``scores``, one entry per distribution, each row's ``ln_scale_score``
+    is also added to its group's entry.
     """
     total = 0.0
     for group, ti, ei in zip(groups, sample.time, sample.event):
         d = dists[group]
-        total += d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
+        term = d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
+        total += term
         if not math.isfinite(total):
             return float("nan")
+        if scores is not None:
+            scores[group] += d.ln_scale_score(ti, ei, term)
     return total
 
 
@@ -175,8 +185,13 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     theta0 = ([math.log(start[name]) if log else start[name]
                for name, log in zip(param_names, on_log)]
               + [0.0] * len(design_cols))
-    loc_index = param_names.index(LOCATION_PARAMS[dist][0])
+    location = LOCATION_PARAMS[dist][0]
+    loc_index = param_names.index(location)
     n_params = len(param_names)
+    # the intercept and the betas move eta, and eta moves ln s (the time
+    # scale of ln_scale_score) forward, or backward for a rate
+    analytic = [loc_index] + list(range(n_params, len(theta0)))
+    eta_to_ln_s = -1.0 if location == "rate" else 1.0
 
     def model_at(theta):
         baseline = {name: math.exp(value) if log else value
@@ -185,11 +200,11 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         coefficients = tuple([theta[loc_index]] + theta[n_params:])
         return SurvivalModel(dist, baseline, coefficients, schema, training_rows)
 
-    def loglik(theta):
+    def loglik(theta, scores=None):
         try:
             model = model_at([float(v) for v in theta])
             return _loglik([model.resolve_parameters(d) for d in designs],
-                           groups, sample)
+                           groups, sample, scores)
         except (ValueError, ArithmeticError):  # outside the domain or float range
             return float("nan")
 
@@ -197,12 +212,25 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         value = loglik(theta)
         return -value if math.isfinite(value) else _BIG
 
-    best = minimize(objective, theta0, maxiter=5000, maxfev=10000)
+    def partials(theta):
+        """The objective's partials along ``analytic`` from one likelihood
+        pass, or None where the loglik or a partial is not finite."""
+        scores = [0.0] * len(designs)
+        if not math.isfinite(loglik(theta, scores)):
+            return None
+        d_eta = [-eta_to_ln_s * s for s in scores]  # of -loglik, per group
+        out = [math.fsum(d_eta)] + [
+            math.fsum(g * design[j] for g, design in zip(d_eta, designs))
+            for j in range(len(design_cols))]
+        return out if all(map(math.isfinite, out)) else None
+
+    best = minimize(objective, theta0, maxiter=5000, maxfev=10000,
+                    partials=partials, analytic=analytic)
     theta_hat = best.x
     final_loglik = loglik(theta_hat)
     converged = best.success and math.isfinite(final_loglik)
 
-    se_t = _hessian_std_errors(objective, theta_hat)
+    se_t = _hessian_std_errors(objective, theta_hat, partials, analytic)
     names = list(param_names) + design_cols
     estimates, std_errors, ci95 = {}, {}, {}
     for i, name in enumerate(names):
@@ -244,36 +272,47 @@ class _BudgetSpent(Exception):
     """``maxfev`` evaluations are spent; the step in progress is dropped."""
 
 
-def minimize(fun, x0, *, maxiter, maxfev):
-    """Minimize ``fun`` from ``x0`` by BFGS with central-difference gradients.
+def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
+    """Minimize ``fun`` from ``x0`` by BFGS.
 
-    The gradient takes central differences with steps h_i = 1e-5 (1 + |x_i|)
-    for every objective: ``fit`` passes no analytic scores.  The inverse
-    Hessian starts as I / max(1, |g|_inf), so no coordinate moves more than
-    1 in the first step, is rescaled after it (Nocedal & Wright 2006, eq.
-    6.20) and then follows the BFGS update (eq. 6.17), skipped when s'y is
-    not positive.  Each step backtracks from the full step, by a safeguarded
-    quadratic, until the Armijo condition holds; ``_BIG`` and non-finite
-    values count as no decrease.  The search succeeds when the predicted
-    decrease g'Hg/2 is at most 1e-12 (1 + |f|); a gradient-norm stop would
-    sit at the level of the finite-difference noise.  ``success`` is false
-    when the line search finds no decrease or ``maxiter`` iterations or
-    ``maxfev`` evaluations stop it first.  ``fun`` gets a copy of each point.
+    ``partials(x)``, when given, returns the partials of ``fun`` at x along
+    the coordinates ``analytic``, in that order, or None where it has none;
+    ``fit`` passes the location score.  The gradient takes those and
+    central differences with steps h_i = 1e-5 (1 + |x_i|) along the other
+    coordinates, or along all of them where ``partials`` gives None.  A
+    call of ``partials`` counts as one evaluation in ``nfev`` and against
+    ``maxfev``.  The inverse Hessian starts as I / max(1, |g|_inf), so no
+    coordinate moves more than 1 in the first step, is rescaled after it
+    (Nocedal & Wright 2006, eq. 6.20) and then follows the BFGS update (eq.
+    6.17), skipped when s'y is not positive.  Each step backtracks from the
+    full step, by a safeguarded quadratic, until the Armijo condition holds;
+    ``_BIG`` and non-finite values count as no decrease.  The search
+    succeeds when the predicted decrease g'Hg/2 is at most 1e-12 (1 + |f|);
+    a gradient-norm stop would sit at the level of the finite-difference
+    noise.  ``success`` is false when the line search finds no decrease or
+    ``maxiter`` iterations or ``maxfev`` evaluations stop it first.  ``fun``
+    and ``partials`` get a copy of each point.
     """
     x = [float(v) for v in x0]
     n = len(x)
     nfev = 0
 
-    def evaluate(point):
+    def evaluate(point, f=fun):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(list(point))
+        return f(list(point))
 
     def gradient(point):
+        known = {}
+        if partials is not None:
+            known = dict(zip(analytic, evaluate(point, partials) or ()))
         g = []
         for i in range(n):
+            if i in known:
+                g.append(known[i])
+                continue
             h = 1e-5 * (1.0 + abs(point[i]))
             up, down = list(point), list(point)
             up[i] += h
@@ -350,30 +389,51 @@ def _dot(a, b):
     return sum(ai * bi for ai, bi in zip(a, b))
 
 
-def _hessian_std_errors(objective, theta):
-    """Delta-method standard errors from a central-difference Hessian H: the
+def _hessian_std_errors(objective, theta, partials=None, analytic=()):
+    """Delta-method standard errors from a Hessian H of the objective: the
     square roots of the diagonal of H^-1, through the Cholesky factor
-    H = L L'.  Every one is NaN when H is not positive definite, since then
-    no factor exists and the optimum is no maximum of the likelihood."""
+    H = L L'.  The rows of H along the ``analytic`` coordinates are central
+    differences of ``partials`` (see ``minimize``), 2k calls in all; the
+    rest of H takes central second differences of the objective.  Every
+    standard error is NaN when H is not positive definite, since then no
+    factor exists and the optimum is no maximum of the likelihood, and when
+    ``partials`` gives None near theta."""
     k = len(theta)
     h = [1e-4 * (1.0 + abs(v)) for v in theta]
 
-    def at(*moves):  # the objective at theta moved by sign * h[i] per (i, sign)
+    def moved(*moves):  # theta moved by sign * h[i] per (i, sign)
         point = list(theta)
         for i, sign in moves:
             point[i] += sign * h[i]
-        return objective(point)
+        return point
 
-    f0 = objective(theta)
+    def at(*moves):
+        return objective(moved(*moves))
+
+    # the rows of H along analytic; column j from the partials at theta -+ h_j
+    row_of = {i: [math.nan] * k for i in analytic}
+    for j in range(k if analytic else 0):
+        up, down = partials(moved((j, 1.0))), partials(moved((j, -1.0)))
+        if up is not None and down is not None:
+            for i, u, d in zip(analytic, up, down):
+                row_of[i][j] = (u - d) / (2.0 * h[j])
+
+    f0 = objective(theta) if len(row_of) < k else math.nan
     chol = []  # the rows of L, each found as soon as that row of H is
     for i in range(k):
         row = []
         for j in range(i):
-            hess_ij = (at((j, 1.0), (i, 1.0)) - at((j, 1.0), (i, -1.0))
-                       - at((j, -1.0), (i, 1.0)) + at((j, -1.0), (i, -1.0))
-                       ) / (4.0 * h[j] * h[i])
+            if i in row_of or j in row_of:
+                hess_ij = row_of[i][j] if i in row_of else row_of[j][i]
+            else:
+                hess_ij = (at((j, 1.0), (i, 1.0)) - at((j, 1.0), (i, -1.0))
+                           - at((j, -1.0), (i, 1.0)) + at((j, -1.0), (i, -1.0))
+                           ) / (4.0 * h[j] * h[i])
             row.append((hess_ij - _dot(row, chol[j])) / chol[j][j])
-        hess_ii = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
+        if i in row_of:
+            hess_ii = row_of[i][i]
+        else:
+            hess_ii = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
         pivot = hess_ii - _dot(row, row)
         if not pivot > 0.0:  # not positive definite
             return [math.nan] * k

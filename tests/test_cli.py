@@ -249,13 +249,22 @@ def _gengamma_mrl_mpmath(mu, sigma, q, x):
         return float(scale * ratio - x)
 
 
-def _run_python(code, *argv):
+def _run_python(code, *argv, timeout=None):
     import mrlife
     src = str(Path(mrlife.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          capture_output=True, text=True, timeout=timeout).stdout
+
+
+def test_quantile_with_a_degenerate_pivot_returns():
+    # the bisection pivot of this gengamma is exp of a cancelled 3e19 - 3e19:
+    # 0.0, which no bracket can grow from
+    code = "from mrlife.cli import main\nmain()\n"
+    _run_python(code, "residlife", "--values", "0,1", "--dist", "gengamma",
+                "--params", "mu=-4.06,sigma=0.0645,Q=-1.75e-19", "--type", "median",
+                timeout=10)
 
 
 def test_cli_import_leaves_out_scipy_and_numpy():

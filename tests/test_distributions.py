@@ -277,6 +277,21 @@ class TestQuantiles:
         d = make_distribution("exponential", {"rate": 2.0})
         assert d.quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("rate", [1.0, 2.5])
+    def test_gompertz_quantile_round_trip_at_every_shape_scale(self, rate):
+        # log1p keeps the quantile exact as shape -> 0, where it nears the
+        # exponential's, from either side; shape < 0 has a plateau at
+        # ln S(inf) = rate/shape below which the quantile is Inf
+        shapes = [sign * 10.0 ** e for e in range(-300, 0, 3) for sign in (1, -1)]
+        for shape in shapes + [0.7, -0.7]:
+            d = make_distribution("gompertz", {"shape": shape, "rate": rate})
+            for p in (1e-6, 0.01, 0.3, 0.5, 0.9, 0.99):
+                t = d.quantile(p)
+                if shape < 0.0 and math.log1p(-p) <= rate / shape:
+                    assert t == math.inf, (shape, p)
+                else:
+                    assert d.survival(t) == pytest.approx(1.0 - p, rel=1e-13), (shape, p)
+
     def test_bisection_quantile_cross_checked_by_cdf(self):
         d = reference_dist("gengamma")
         t = d.quantile(0.9)

@@ -7,7 +7,7 @@ import pytest
 
 from mrlife import (CensoredSample, censored_loglik, convert_genf_to_orig, fit,
                     make_distribution, mrl_quadrature_oracle)
-from mrlife import fitting, regression
+from mrlife import distributions, fitting, regression
 from mrlife import specfun as sf
 from mrlife.distributions import (_LN_2PI, DISTRIBUTION_TAGS, PARAM_NAMES,
                                   POSITIVE_PARAMS, ParameterError, Weibull,
@@ -222,7 +222,8 @@ class TestFit:
     def test_huge_standard_error_saturates_the_interval(self, monkeypatch):
         time, event = weibull_censored_sample(50, 1.4, 3.0, 0.2, seed=11)
         monkeypatch.setattr(fitting, "_hessian_std_errors",
-                            lambda objective, theta: np.full(len(theta), 400.0))
+                            lambda objective, theta, *partials:
+                            np.full(len(theta), 400.0))
         result, _ = fit("weibull", CensoredSample.from_lists(time, event))
         assert result.ci95["shape"] == (0.0, math.inf)
 
@@ -284,17 +285,23 @@ class _Captured(Exception):
     pass
 
 
-def _objective(monkeypatch, tag, sample):
-    """fit()'s objective and start values, caught at the optimizer call."""
+def _optimizer_call(monkeypatch, tag, sample, covariates=("group",)):
+    """The arguments fit() passes to the optimizer, caught at the call."""
     seen = {}
 
     def capture(fun, x0, **kwargs):
-        seen["objective"], seen["theta0"] = fun, np.array(x0)
+        seen.update(kwargs, objective=fun, theta0=np.array(x0))
         raise _Captured
 
     monkeypatch.setattr(fitting, "minimize", capture)
     with pytest.raises(_Captured):
-        fit(tag, sample, ["group"])
+        fit(tag, sample, list(covariates))
+    return seen
+
+
+def _objective(monkeypatch, tag, sample):
+    """fit()'s objective and start values."""
+    seen = _optimizer_call(monkeypatch, tag, sample)
     return seen["objective"], seen["theta0"]
 
 
@@ -372,6 +379,41 @@ class TestLikelihoodLoop:
             assert len(calls) == 3
 
 
+class TestLocationScore:
+    @pytest.mark.parametrize("design", ["factor", "numeric"])
+    @pytest.mark.parametrize("tag", _ALL_TAGS)
+    def test_matches_central_differences(self, monkeypatch, kernel_modules,
+                                         tag, design):
+        sample = _covariate_sample(tag, seed=_ALL_TAGS.index(tag) + 81,
+                                   numeric=design == "numeric")
+        seen = _optimizer_call(monkeypatch, tag, sample, _DESIGNS[design])
+        objective, partials, analytic = (seen["objective"], seen["partials"],
+                                         seen["analytic"])
+        # the intercept, then one beta per design column
+        assert analytic[0] == PARAM_NAMES[tag].index(LOCATION_PARAMS[tag][0])
+        assert analytic[1:] == list(range(len(PARAM_NAMES[tag]),
+                                          len(seen["theta0"])))
+        for kernels in kernel_modules:
+            monkeypatch.setattr(distributions, "sf", kernels)
+            for theta in _thetas(seen["theta0"]):
+                got = partials(list(theta))
+                for i, value in zip(analytic, got):
+                    h = 1e-6 * (1.0 + abs(theta[i]))
+                    up, down = list(theta), list(theta)
+                    up[i] += h
+                    down[i] -= h
+                    expected = (objective(up) - objective(down)) / (up[i] - down[i])
+                    assert value == pytest.approx(expected, rel=1e-6), (
+                        kernels.__name__, i)
+
+    def test_outside_the_domain_gives_none(self, monkeypatch):
+        sample = _covariate_sample("weibull", seed=51)
+        seen = _optimizer_call(monkeypatch, "weibull", sample)
+        theta = seen["theta0"].copy()
+        theta[seen["analytic"][0]] = 800.0  # exp(800) overflows
+        assert seen["partials"](list(theta)) is None
+
+
 def _rosenbrock(x):
     x = np.asarray(x)
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
@@ -421,6 +463,34 @@ class TestMinimize:
         if caps["maxiter"] == 5:
             assert result.nit == 5
 
+    @pytest.mark.parametrize("analytic", [(2, 0), (0, 1, 2)])
+    def test_takes_partials_and_counts_each_call(self, analytic):
+        calls = {"fun": 0, "partials": 0}
+
+        def fun(x):
+            calls["fun"] += 1
+            return _quadratic(x)
+
+        def partials(x):
+            calls["partials"] += 1
+            d = np.asarray(x) - np.array([1.0, -2.0, 3.0])
+            gradient = (d[0] + d[1], 20.0 * d[1] + d[0], 100.0 * d[2])
+            return [gradient[i] for i in analytic]
+
+        result = fitting.minimize(fun, np.zeros(3), partials=partials,
+                                  analytic=list(analytic), **_CAPS)
+        assert result.success
+        assert np.max(np.abs(np.asarray(result.x) - [1.0, -2.0, 3.0])) <= 1e-6
+        assert calls["partials"] == result.nit + 1  # one per gradient
+        assert result.nfev == calls["fun"] + calls["partials"]
+
+    def test_partials_none_falls_back_to_central_differences(self):
+        plain = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]), **_CAPS)
+        result = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]),
+                                  partials=lambda x: None, analytic=[0], **_CAPS)
+        assert result.x == plain.x and result.nit == plain.nit
+        assert result.nfev == plain.nfev + plain.nit + 1
+
     def test_objective_gets_a_copy(self):
         def scribble(x):
             value = _rosenbrock(x)
@@ -450,19 +520,32 @@ class TestHessianStdErrors:
         assert len(se) == 3 and all(math.isnan(v) for v in se)
 
     def test_positive_definite_matches_the_inverse(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(5, 5))
-        hess = a @ a.T + 0.5 * np.eye(5)
+        _check_standard_errors_of_a_quadratic(())
 
-        def quadratic(x):
-            # minimum 0 at the origin: steps from 0 are exact and no large
-            # f(0) cancels, so the differences give hess to rounding
-            x = np.asarray(x)
-            return float(0.5 * x @ hess @ x)
+    @pytest.mark.parametrize("analytic", [(0, 3), tuple(range(5))])
+    def test_rows_from_partials_match_the_inverse(self, analytic):
+        _check_standard_errors_of_a_quadratic(analytic)
 
-        se = fitting._hessian_std_errors(quadratic, [0.0] * 5)
-        expected = np.sqrt(np.diag(np.linalg.inv(hess)))
-        assert np.max(np.abs(np.asarray(se) / expected - 1.0)) <= 1e-12
+
+def _check_standard_errors_of_a_quadratic(analytic):
+    """_hessian_std_errors of 0.5 x'Hx at 0, with the rows ``analytic`` of
+    H from the exact gradient Hx, against sqrt(diag(H^-1))."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 5))
+    hess = a @ a.T + 0.5 * np.eye(5)
+
+    def quadratic(x):
+        # minimum 0 at the origin: steps from 0 are exact and no large
+        # f(0) cancels, so the differences give hess to rounding
+        x = np.asarray(x)
+        return float(0.5 * x @ hess @ x)
+
+    def partials(x):
+        return list((hess @ np.asarray(x))[list(analytic)])
+
+    se = fitting._hessian_std_errors(quadratic, [0.0] * 5, partials, analytic)
+    expected = np.sqrt(np.diag(np.linalg.inv(hess)))
+    assert np.max(np.abs(np.asarray(se) / expected - 1.0)) <= 1e-12
 
 
 def test_oracle_without_scipy_names_the_extra(monkeypatch):
