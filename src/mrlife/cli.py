@@ -194,7 +194,8 @@ def render_fit_text(result):
                      f"{_fmt_cell(result.std_errors[name]):>12}")
     lines.append(f"loglik: {result.loglik:.6f}  (n={result.n}, "
                  f"events={result.n_events})")
-    lines.append(f"converged: {result.converged}  iterations: {result.iterations}")
+    lines.append(f"converged: {result.converged}  iterations: {result.iterations}"
+                 f"  evaluations: {result.evaluations}")
     return "\n".join(lines)
 
 
@@ -207,6 +208,7 @@ def render_fit_json(result):
         "loglik": result.loglik,
         "converged": result.converged,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "n": result.n,
         "n_events": result.n_events,
     }, indent=2)

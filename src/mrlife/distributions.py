@@ -21,7 +21,8 @@ and ``survival`` are the exponentials of the first two.  A fourth,
 ``ln_pdf_slope`` (d ln f/d ln t), gives ``ln_scale_score``, the location
 score that fitting sums; Gompertz, proportional hazards in its rate,
 states that score directly.  The mean residual
-life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space.
+life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space;
+``mrl`` takes ln S(x) once and hands it to ``_mrl`` as the denominator.
 The exponential is the Gompertz at shape 0 and takes its formulas.  Beyond
 gompertz and lnorm, T is a power of a gamma or of a beta-prime variable,
 and one of two family cores, ``_GammaPower`` and ``_BetaPrimePower``,
@@ -215,7 +216,7 @@ class Distribution:
 
     def mean(self):
         """E[T], the mean residual life at 0; NaN where T has no mean."""
-        return self._mrl(0.0)
+        return self._mrl(0.0, 0.0)
 
     def mrl(self, x):
         """Mean residual life at x >= 0; mean() at 0, NaN once survival(x) underflows."""
@@ -223,11 +224,13 @@ class Distribution:
             raise ValueError("x must be nonnegative")
         if x == 0.0:
             return self.mean()
-        if self.survival(x) <= 0.0:
+        ln_sx = self.ln_survival(x)
+        if _exp(ln_sx) <= 0.0:
             return _NAN
-        return self._mrl(x)
+        return self._mrl(x, ln_sx)
 
-    def _mrl(self, x):
+    def _mrl(self, x, ln_sx):
+        """E[T; T > x]/S(x) - x, given ln S(x) as ``ln_sx``."""
         raise NotImplementedError
 
 
@@ -273,17 +276,16 @@ class _GammaPower(Distribution):
         # T at G = k: shape/rate for the gamma, exp(mu) for the gengamma
         return _exp(self._ln_scale + math.log(self._k) / self._b)
 
-    def _mrl(self, x):
-        k = self._k
+    def _mrl(self, x, ln_sx):
         z = _exp(self._b * (_log(x) - self._ln_scale))
-        g = k + 1.0 / self._b
+        g = self._k + 1.0 / self._b
         if self._b > 0.0:
-            ln_tail, ln_sx = sf.ln_upper_inc_gamma(z, g), sf.ln_upper_inc_gamma(z, k)
+            ln_tail = sf.ln_upper_inc_gamma(z, g)
         elif g > 0.0:
-            ln_tail, ln_sx = sf.ln_lower_inc_gamma(z, g), sf.ln_lower_inc_gamma(z, k)
+            ln_tail = sf.ln_lower_inc_gamma(z, g)
         else:
             return _NAN
-        return _exp(self._ln_scale + ln_tail - ln_sx) - x
+        return _exp(self._ln_scale + ln_tail - (ln_sx + self._ln_gamma_k)) - x
 
 
 class _BetaPrimePower(Distribution):
@@ -326,7 +328,7 @@ class _BetaPrimePower(Distribution):
     def _pivot(self):
         return _exp(self._mu)
 
-    def _mrl(self, x):
+    def _mrl(self, x, ln_sx):
         s1, s2, sigma = self._s1, self._s2, self._sigma
         if s2 <= sigma:
             return _NAN
@@ -335,7 +337,7 @@ class _BetaPrimePower(Distribution):
         ln_mean = (self._mu + sigma * math.log(s2 / s1)
                    + sf.ln_beta(s1 + sigma, s2 - sigma) - self._ln_beta)
         return _exp(ln_mean + sf.ln_reg_inc_beta(v, s2 - sigma, s1 + sigma)
-                    - sf.ln_reg_inc_beta(v, s2, s1)) - x
+                    - ln_sx) - x
 
 
 class Weibull(_GammaPower):
@@ -350,7 +352,8 @@ class Weibull(_GammaPower):
         super().__init__(math.log(scale), 1.0, shape)
 
     def ln_survival(self, t):
-        return -_exp(self.shape * _log(t / self.scale))
+        # z as ln_pdf and _mrl take it, so mrl's tail over S(x) shares its rounding
+        return -_exp(self._b * (_log(t) - self._ln_scale))
 
     def _isf_from_ln(self, ln_s):
         return self.scale * (-ln_s) ** (1.0 / self.shape)
@@ -404,7 +407,7 @@ class Gompertz(Distribution):
             return _INF
         return math.log1p(y) / self.shape
 
-    def _mrl(self, x):
+    def _mrl(self, x, ln_sx):
         # exp(z) * E1(z) / shape with z = (rate/shape) * exp(shape*x)
         if self.shape < 0.0:
             return _NAN  # P(T = inf) > 0: no finite mean
@@ -460,11 +463,10 @@ class LogNormal(Distribution):
             w = sf.std_normal_quantile(-math.expm1(ln_s))
         return _exp(self.meanlog + self.sdlog * w)
 
-    def _mrl(self, x):
+    def _mrl(self, x, ln_sx):
         shifted = (_log(x) - (self.meanlog + self.sdlog * self.sdlog)) / self.sdlog
         return _exp(self.meanlog + 0.5 * self.sdlog * self.sdlog
-                    + sf.ln_std_normal_sf(shifted)
-                    - sf.ln_std_normal_sf(self._w(x))) - x
+                    + sf.ln_std_normal_sf(shifted) - ln_sx) - x
 
 
 class LogLogistic(_BetaPrimePower):

@@ -6,15 +6,23 @@ this module's ``minimize``: a mixed gradient, an Armijo backtracking line
 search, and a stop on the predicted decrease, all on Python lists, so
 fitting needs no array library.  The partials along the intercept and
 the betas are analytic: each likelihood pass can also sum, per distinct
-design row, the rows' location score ``Distribution.ln_scale_score``,
-and the betas weight those sums by the design values.  The shape
-parameters take central differences.  Standard errors come from the
-inverse of a Hessian at the optimum, through its Cholesky factor, mapped
-back to the natural scale by the delta method: its intercept and beta
-rows are central differences of the analytic partials, the shape block
-central second differences of the objective.  A Hessian that is not
-positive definite gives NaN for every standard error.  95% intervals are
-est*exp(+-1.96*se) for log-scale parameters and est +- 1.96*se otherwise.
+design row, the rows' location score s = ``Distribution.ln_scale_score``,
+and the betas weight those sums by the design values.  The seven
+log-location-scale families of ``LOG_SCALE_PARAMS``, where
+W = (ln T - eta)/sigma has a law free of eta and sigma, take the partial
+along ln sigma from the same pass: d ln f/d ln sigma = (ln t - eta) s - 1
+for an event and (ln t - eta) s when censored (Kalbfleisch & Prentice
+2002, ch. 3; Lawless 2003, ch. 6), so the pass also sums ln t * s per
+group.  That pass returns the objective too, and the line search scores
+its trial points through it, so the accepted point's pass supplies the
+next gradient.  The other shape parameters take central differences.
+Standard errors come from the inverse of a Hessian at the optimum,
+through its Cholesky factor, mapped back to the natural scale by the
+delta method: its analytic rows are central differences of the analytic
+partials, the rest of the shape block central second differences of the
+objective.  A Hessian that is not positive definite gives NaN for every
+standard error.  95% intervals are est*exp(+-1.96*se) for log-scale
+parameters and est +- 1.96*se otherwise.
 
 One likelihood core, ``_loglik``, sums over the distributions that
 ``SurvivalModel.resolve_parameters`` builds, one per distinct design row,
@@ -35,6 +43,16 @@ from .regression import (Covariate, CovariateSchema, LOCATION_PARAMS,
 
 _BIG = 1e12
 _Z95 = 1.96
+
+# sigma of ln T = eta + sigma W per log-location-scale family, eta being the
+# location of LOCATION_PARAMS, with the sign of ln sigma in theta: theta
+# holds ln sigma, or for a shape ln(1/sigma)
+LOG_SCALE_PARAMS = {
+    "weibull": ("shape", -1.0), "llogis": ("shape", -1.0),
+    "gengamma.orig": ("shape", -1.0), "lnorm": ("sdlog", 1.0),
+    "gengamma": ("sigma", 1.0), "genf.orig": ("sigma", 1.0),
+    "genf": ("sigma", 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -90,16 +108,21 @@ class FitResult:
     iterations: int
     n: int
     n_events: int
+    evaluations: int  # likelihood passes: optimizer, Hessian and final loglik
 
 
-def _loglik(dists, groups, sample, scores=None):
+def _loglik(dists, groups, sample, scores=None, ln_times=()):
     """Censored log likelihood with row i drawn from ``dists[groups[i]]``:
     ``censored_loglik`` and ``fit``'s objective both call it.  The scalar
     terms are summed in row order; NaN once the sum is not finite.  Given
-    ``scores``, one entry per distribution, each row's ``ln_scale_score``
-    is also added to its group's entry.
+    ``scores``, two lists of one entry per distribution, each row's
+    ``ln_scale_score`` s is also added to its group's entry in the first,
+    and ln t * s, with ln t from ``ln_times`` (one per row), in the second.
     """
     total = 0.0
+    if scores is not None:
+        by_group, by_group_ln_t = scores
+        ln_time = iter(ln_times)
     for group, ti, ei in zip(groups, sample.time, sample.event):
         d = dists[group]
         term = d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
@@ -107,7 +130,9 @@ def _loglik(dists, groups, sample, scores=None):
         if not math.isfinite(total):
             return float("nan")
         if scores is not None:
-            scores[group] += d.ln_scale_score(ti, ei, term)
+            score = d.ln_scale_score(ti, ei, term)
+            by_group[group] += score
+            by_group_ln_t[group] += next(ln_time) * score
     return total
 
 
@@ -189,9 +214,17 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     loc_index = param_names.index(location)
     n_params = len(param_names)
     # the intercept and the betas move eta, and eta moves ln s (the time
-    # scale of ln_scale_score) forward, or backward for a rate
-    analytic = [loc_index] + list(range(n_params, len(theta0)))
+    # scale of ln_scale_score) forward, or backward for a rate; for a
+    # log-location-scale family, ln sigma is analytic too
     eta_to_ln_s = -1.0 if location == "rate" else 1.0
+    log_scale = LOG_SCALE_PARAMS.get(dist)
+    analytic = ([loc_index]
+                + ([param_names.index(log_scale[0])] if log_scale else [])
+                + list(range(n_params, len(theta0))))
+    ln_times = [math.log(t) for t in sample.time]
+    events = [0.0] * len(designs)  # per group
+    for group, ei in zip(groups, sample.event):
+        events[group] += ei
 
     def model_at(theta):
         baseline = {name: math.exp(value) if log else value
@@ -200,11 +233,15 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         coefficients = tuple([theta[loc_index]] + theta[n_params:])
         return SurvivalModel(dist, baseline, coefficients, schema, training_rows)
 
+    passes = 0
+
     def loglik(theta, scores=None):
+        nonlocal passes
+        passes += 1
         try:
             model = model_at([float(v) for v in theta])
             return _loglik([model.resolve_parameters(d) for d in designs],
-                           groups, sample, scores)
+                           groups, sample, scores, ln_times)
         except (ValueError, ArithmeticError):  # outside the domain or float range
             return float("nan")
 
@@ -213,16 +250,28 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         return -value if math.isfinite(value) else _BIG
 
     def partials(theta):
-        """The objective's partials along ``analytic`` from one likelihood
-        pass, or None where the loglik or a partial is not finite."""
-        scores = [0.0] * len(designs)
-        if not math.isfinite(loglik(theta, scores)):
-            return None
-        d_eta = [-eta_to_ln_s * s for s in scores]  # of -loglik, per group
-        out = [math.fsum(d_eta)] + [
-            math.fsum(g * design[j] for g, design in zip(d_eta, designs))
-            for j in range(len(design_cols))]
-        return out if all(map(math.isfinite, out)) else None
+        """The objective at theta and its partials along ``analytic``, from
+        one likelihood pass; the partials are None where the loglik or a
+        partial is not finite."""
+        scores = [0.0] * len(designs), [0.0] * len(designs)
+        value = loglik(theta, scores)
+        if not math.isfinite(value):
+            return _BIG, None
+        by_group, by_group_ln_t = scores
+        d_eta = [-eta_to_ln_s * s for s in by_group]  # of -loglik, per group
+        out = [math.fsum(d_eta)]
+        if log_scale is not None:
+            # sum over a group's rows of (ln t - eta) s - event
+            d_ln_sigma = []
+            for design, s, s_ln_t, e in zip(designs, by_group, by_group_ln_t, events):
+                eta = theta[loc_index]
+                for beta, x in zip(theta[n_params:], design):
+                    eta += beta * x
+                d_ln_sigma.append(s_ln_t - eta * s - e)
+            out.append(-log_scale[1] * math.fsum(d_ln_sigma))
+        out += [math.fsum(g * design[j] for g, design in zip(d_eta, designs))
+                for j in range(len(design_cols))]
+        return -value, out if all(map(math.isfinite, out)) else None
 
     best = minimize(objective, theta0, maxiter=5000, maxfev=10000,
                     partials=partials, analytic=analytic)
@@ -253,6 +302,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         iterations=best.nit,
         n=len(sample),
         n_events=sample.event.count(1.0),
+        evaluations=passes,
     )
     return result, model_at(theta_hat)
 
@@ -275,23 +325,27 @@ class _BudgetSpent(Exception):
 def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
     """Minimize ``fun`` from ``x0`` by BFGS.
 
-    ``partials(x)``, when given, returns the partials of ``fun`` at x along
-    the coordinates ``analytic``, in that order, or None where it has none;
-    ``fit`` passes the location score.  The gradient takes those and
-    central differences with steps h_i = 1e-5 (1 + |x_i|) along the other
-    coordinates, or along all of them where ``partials`` gives None.  A
-    call of ``partials`` counts as one evaluation in ``nfev`` and against
-    ``maxfev``.  The inverse Hessian starts as I / max(1, |g|_inf), so no
-    coordinate moves more than 1 in the first step, is rescaled after it
-    (Nocedal & Wright 2006, eq. 6.20) and then follows the BFGS update (eq.
-    6.17), skipped when s'y is not positive.  Each step backtracks from the
-    full step, by a safeguarded quadratic, until the Armijo condition holds;
-    ``_BIG`` and non-finite values count as no decrease.  The search
-    succeeds when the predicted decrease g'Hg/2 is at most 1e-12 (1 + |f|);
-    a gradient-norm stop would sit at the level of the finite-difference
-    noise.  ``success`` is false when the line search finds no decrease or
-    ``maxiter`` iterations or ``maxfev`` evaluations stop it first.  ``fun``
-    and ``partials`` get a copy of each point.
+    ``partials(x)``, when given, returns the pair ``(fun(x), partials)``:
+    the partials of ``fun`` at x along the coordinates ``analytic``, in that
+    order, or None where it has none; ``fit`` passes the location score.
+    Every point the search scores, the start and each line-search trial,
+    goes through it, so an accepted point's call supplies the next
+    gradient (Nocedal & Wright 2006, ch. 3).  The gradient takes those
+    partials and central differences of ``fun`` with steps
+    h_i = 1e-5 (1 + |x_i|) along the other coordinates, or along all of
+    them where ``partials`` gives None.  A call of ``fun`` or ``partials``
+    counts as one evaluation in ``nfev`` and against ``maxfev``.  The
+    inverse Hessian starts as I / max(1, |g|_inf), so no coordinate moves
+    more than 1 in the first step, is rescaled after it (eq. 6.20) and then
+    follows the BFGS update (eq. 6.17), skipped when s'y is not positive.
+    Each step backtracks from the full step, by a safeguarded quadratic,
+    until the Armijo condition holds; ``_BIG`` and non-finite values count
+    as no decrease.  The search succeeds when the predicted decrease g'Hg/2
+    is at most 1e-12 (1 + |f|); a gradient-norm stop would sit at the level
+    of the finite-difference noise.  ``success`` is false when the line
+    search finds no decrease or ``maxiter`` iterations or ``maxfev``
+    evaluations stop it first.  ``fun`` and ``partials`` get a copy of each
+    point.
     """
     x = [float(v) for v in x0]
     n = len(x)
@@ -304,10 +358,14 @@ def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
         nfev += 1
         return f(list(point))
 
-    def gradient(point):
-        known = {}
-        if partials is not None:
-            known = dict(zip(analytic, evaluate(point, partials) or ()))
+    def score(point):
+        """``fun`` at point and the partials ``partials`` gives there."""
+        if partials is None:
+            return evaluate(point), None
+        return evaluate(point, partials)
+
+    def gradient(point, known):
+        known = dict(zip(analytic, known or ()))
         g = []
         for i in range(n):
             if i in known:
@@ -321,15 +379,15 @@ def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
         return g
 
     def line_search(point, f0, p, slope):
-        """Armijo step length along ``p`` and its value, or None when no
-        representable step decreases ``fun``."""
+        """Armijo step length along ``p`` with the ``score`` of its point, or
+        None when no representable step decreases ``fun``."""
         alpha = 1.0
         while any(xi + alpha * pi != xi for xi, pi in zip(point, p)):
-            f_new = evaluate([xi + alpha * pi for xi, pi in zip(point, p)])
+            f_new, known = score([xi + alpha * pi for xi, pi in zip(point, p)])
             if not (math.isfinite(f_new) and f_new < _BIG):
                 alpha *= 0.1
             elif f_new <= f0 + 1e-4 * alpha * slope:
-                return alpha, f_new
+                return alpha, f_new, known
             else:  # minimizer of the quadratic through f0, slope and f_new
                 trial = -slope * alpha ** 2 / (2.0 * (f_new - f0 - slope * alpha))
                 alpha = min(max(trial, 0.1 * alpha), 0.5 * alpha)
@@ -343,8 +401,8 @@ def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
 
     f, nit, success = math.inf, 0, False
     try:
-        f = evaluate(x)
-        g = gradient(x)
+        f, known = score(x)
+        g = gradient(x, known)
         hess_inv = scaled_identity(g)
         first_step = True
         while True:
@@ -362,10 +420,10 @@ def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
             found = line_search(x, f, p, slope)
             if found is None:
                 break
-            alpha, f_new = found
+            alpha, f_new, known = found
             s = [alpha * pi for pi in p]
             x_new = [xi + si for xi, si in zip(x, s)]
-            g_new = gradient(x_new)
+            g_new = gradient(x_new, known)
             y = [a - b for a, b in zip(g_new, g)]
             sy = _dot(s, y)
             if sy > 0.0:
@@ -393,7 +451,8 @@ def _hessian_std_errors(objective, theta, partials=None, analytic=()):
     """Delta-method standard errors from a Hessian H of the objective: the
     square roots of the diagonal of H^-1, through the Cholesky factor
     H = L L'.  The rows of H along the ``analytic`` coordinates are central
-    differences of ``partials`` (see ``minimize``), 2k calls in all; the
+    differences of the partials that ``partials`` returns (see
+    ``minimize``), 2k calls in all; the
     rest of H takes central second differences of the objective.  Every
     standard error is NaN when H is not positive definite, since then no
     factor exists and the optimum is no maximum of the likelihood, and when
@@ -413,7 +472,7 @@ def _hessian_std_errors(objective, theta, partials=None, analytic=()):
     # the rows of H along analytic; column j from the partials at theta -+ h_j
     row_of = {i: [math.nan] * k for i in analytic}
     for j in range(k if analytic else 0):
-        up, down = partials(moved((j, 1.0))), partials(moved((j, -1.0)))
+        up, down = partials(moved((j, 1.0)))[1], partials(moved((j, -1.0)))[1]
         if up is not None and down is not None:
             for i, u, d in zip(analytic, up, down):
                 row_of[i][j] = (u - d) / (2.0 * h[j])

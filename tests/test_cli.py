@@ -36,7 +36,7 @@ TABLE_JSON_SCHEMA = {
 FIT_JSON_SCHEMA = {
     "type": "object",
     "required": ["subcommand", "estimates", "std_errors", "ci95", "loglik",
-                 "converged", "iterations"],
+                 "converged", "iterations", "evaluations"],
     "properties": {
         "subcommand": {"const": "fit"},
         "estimates": {"type": "object",
@@ -48,6 +48,7 @@ FIT_JSON_SCHEMA = {
         "loglik": {"type": "number"},
         "converged": {"type": "boolean"},
         "iterations": {"type": "integer"},
+        "evaluations": {"type": "integer"},
     },
 }
 

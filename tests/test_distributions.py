@@ -382,6 +382,23 @@ class TestResidualLifeClosedForms:
             monkeypatch.setattr(distributions, "sf", k)
             assert d.mrl(x) == pytest.approx(expected, rel=3e-11), k.__name__
 
+    @pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
+    def test_mrl_repeats_no_kernel_call(self, tag, monkeypatch):
+        # the ln S(x) of the underflow guard is the denominator of _mrl
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                def recorded(*args):
+                    calls.append((name, args))
+                    return getattr(sf, name)(*args)
+                return recorded
+
+        d = reference_dist(tag)
+        monkeypatch.setattr(distributions, "sf", Recording())
+        assert math.isfinite(d.mrl(1.5))
+        assert len(calls) == len(set(calls)), calls
+
     def test_survival_underflow_returns_nan(self):
         d = make_distribution("weibull", {"shape": 2.9, "scale": 2.2})
         assert d.survival(22.0) == 0.0

@@ -379,6 +379,13 @@ class TestLikelihoodLoop:
             assert len(calls) == 3
 
 
+# ln sigma of ln T = eta + sigma W, the partial the location score pass
+# also gives, per log-location-scale family
+_LOG_SCALE = {"weibull": "shape", "llogis": "shape", "gengamma.orig": "shape",
+              "lnorm": "sdlog", "gengamma": "sigma", "genf.orig": "sigma",
+              "genf": "sigma"}
+
+
 class TestLocationScore:
     @pytest.mark.parametrize("design", ["factor", "numeric"])
     @pytest.mark.parametrize("tag", _ALL_TAGS)
@@ -389,21 +396,25 @@ class TestLocationScore:
         seen = _optimizer_call(monkeypatch, tag, sample, _DESIGNS[design])
         objective, partials, analytic = (seen["objective"], seen["partials"],
                                          seen["analytic"])
-        # the intercept, then one beta per design column
-        assert analytic[0] == PARAM_NAMES[tag].index(LOCATION_PARAMS[tag][0])
-        assert analytic[1:] == list(range(len(PARAM_NAMES[tag]),
-                                          len(seen["theta0"])))
+        # the intercept, ln sigma where the family has one, then one beta
+        # per design column
+        names = PARAM_NAMES[tag]
+        order = [names.index(LOCATION_PARAMS[tag][0])]
+        if tag in _LOG_SCALE:
+            order.append(names.index(_LOG_SCALE[tag]))
+        assert analytic == order + list(range(len(names), len(seen["theta0"])))
         for kernels in kernel_modules:
             monkeypatch.setattr(distributions, "sf", kernels)
             for theta in _thetas(seen["theta0"]):
-                got = partials(list(theta))
-                for i, value in zip(analytic, got):
+                value, got = partials(list(theta))
+                assert _same_bits(value, objective(theta))
+                for i, partial in zip(analytic, got):
                     h = 1e-6 * (1.0 + abs(theta[i]))
                     up, down = list(theta), list(theta)
                     up[i] += h
                     down[i] -= h
                     expected = (objective(up) - objective(down)) / (up[i] - down[i])
-                    assert value == pytest.approx(expected, rel=1e-6), (
+                    assert partial == pytest.approx(expected, rel=1e-6), (
                         kernels.__name__, i)
 
     def test_outside_the_domain_gives_none(self, monkeypatch):
@@ -411,7 +422,25 @@ class TestLocationScore:
         seen = _optimizer_call(monkeypatch, "weibull", sample)
         theta = seen["theta0"].copy()
         theta[seen["analytic"][0]] = 800.0  # exp(800) overflows
-        assert seen["partials"](list(theta)) is None
+        assert seen["partials"](list(theta)) == (fitting._BIG, None)
+
+    @pytest.mark.parametrize("tag", ["weibull", "lnorm", "llogis"])
+    def test_two_parameter_fits_take_no_central_differences(self, monkeypatch,
+                                                            tag):
+        # every pass but the final loglik sums the score: neither the
+        # optimizer nor the Hessian takes central differences of the objective
+        passes = []
+        loglik = fitting._loglik
+
+        def counted(dists, groups, sample, scores=None, ln_times=()):
+            passes.append(scores is not None)
+            return loglik(dists, groups, sample, scores, ln_times)
+
+        monkeypatch.setattr(fitting, "_loglik", counted)
+        result, _ = fit(tag, _covariate_sample(tag, seed=91, n=150), ["group"])
+        assert result.converged
+        assert passes.count(False) == 1  # the final loglik
+        assert result.evaluations == len(passes)
 
 
 def _rosenbrock(x):
@@ -465,31 +494,36 @@ class TestMinimize:
 
     @pytest.mark.parametrize("analytic", [(2, 0), (0, 1, 2)])
     def test_takes_partials_and_counts_each_call(self, analytic):
-        calls = {"fun": 0, "partials": 0}
+        calls = {"fun": 0, "partials": []}
 
         def fun(x):
             calls["fun"] += 1
             return _quadratic(x)
 
         def partials(x):
-            calls["partials"] += 1
+            calls["partials"].append(tuple(x))
             d = np.asarray(x) - np.array([1.0, -2.0, 3.0])
             gradient = (d[0] + d[1], 20.0 * d[1] + d[0], 100.0 * d[2])
-            return [gradient[i] for i in analytic]
+            return _quadratic(x), [gradient[i] for i in analytic]
 
         result = fitting.minimize(fun, np.zeros(3), partials=partials,
                                   analytic=list(analytic), **_CAPS)
         assert result.success
         assert np.max(np.abs(np.asarray(result.x) - [1.0, -2.0, 3.0])) <= 1e-6
-        assert calls["partials"] == result.nit + 1  # one per gradient
-        assert result.nfev == calls["fun"] + calls["partials"]
+        # the start and every line-search trial go through partials, each
+        # once, and fun takes the central differences of each gradient
+        points = calls["partials"]
+        assert result.nit + 1 <= len(points) == len(set(points))
+        assert calls["fun"] == 2 * (3 - len(analytic)) * (result.nit + 1)
+        assert result.nfev == calls["fun"] + len(points)
 
     def test_partials_none_falls_back_to_central_differences(self):
         plain = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]), **_CAPS)
         result = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]),
-                                  partials=lambda x: None, analytic=[0], **_CAPS)
+                                  partials=lambda x: (_rosenbrock(x), None),
+                                  analytic=[0], **_CAPS)
         assert result.x == plain.x and result.nit == plain.nit
-        assert result.nfev == plain.nfev + plain.nit + 1
+        assert result.nfev == plain.nfev
 
     def test_objective_gets_a_copy(self):
         def scribble(x):
@@ -541,7 +575,7 @@ def _check_standard_errors_of_a_quadratic(analytic):
         return float(0.5 * x @ hess @ x)
 
     def partials(x):
-        return list((hess @ np.asarray(x))[list(analytic)])
+        return quadratic(x), list((hess @ np.asarray(x))[list(analytic)])
 
     se = fitting._hessian_std_errors(quadratic, [0.0] * 5, partials, analytic)
     expected = np.sqrt(np.diag(np.linalg.inv(hess)))
