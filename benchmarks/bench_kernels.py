@@ -21,7 +21,8 @@ except ImportError:
     _ckernels = None
 
 _KERNEL_NAMES = [
-    "ln_gamma", "ln_beta", "ln_upper_inc_gamma", "ln_lower_inc_gamma",
+    "ln_gamma", "digamma", "ln_beta", "ln_upper_inc_gamma",
+    "ln_lower_inc_gamma", "ln_upper_inc_gamma_da", "ln_lower_inc_gamma_da",
     "upper_inc_gamma", "exp_integral_e1", "exp_integral_e1_scaled",
     "reg_inc_beta", "ln_reg_inc_beta", "gauss_2f1", "ln_std_normal_sf",
     "std_normal_quantile",

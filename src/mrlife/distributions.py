@@ -18,9 +18,10 @@ Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 ``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  Each family
 defines three formulas, ``ln_pdf``, ``ln_survival`` and ``_mrl``; ``pdf``
 and ``survival`` are the exponentials of the first two.  A fourth,
-``ln_pdf_slope`` (d ln f/d ln t), gives ``ln_scale_score``, the location
-score that fitting sums; Gompertz, proportional hazards in its rate,
-states that score directly.  The mean residual
+``ln_pdf_slope`` (d ln f/d ln t), gives the location score of
+``ln_term_scores``, the row term and scores that fitting sums; Gompertz,
+proportional hazards in its rate, states that score directly, and the
+gamma-power core also gives the partial along its shape k.  The mean residual
 life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space;
 ``mrl`` takes ln S(x) once and hands it to ``_mrl`` as the denominator.
 The exponential is the Gompertz at shape 0 and takes its formulas.  Beyond
@@ -139,16 +140,24 @@ class Distribution:
         """d ln f / d ln t at t > 0."""
         raise NotImplementedError
 
-    def ln_scale_score(self, t, event, ln_term):
-        """The partial of one row's log-likelihood term ``ln_term`` (ln f(t)
-        for an event, ln S(t) when censored) with respect to ln s, where the
-        family is a law of t/s: s is scale, exp(mu), exp(meanlog) or 1/rate.
-        That is -(1 + d ln f/d ln t) for an event and, when censored,
+    def ln_term_scores(self, t, event):
+        """One row's log-likelihood term, its location score and its shape
+        score, for fitting.
+
+        The term is ln f(t) for an event and ln S(t) when censored, with the
+        bits of ``ln_pdf`` and ``ln_survival``.  The location score is its
+        partial with respect to ln s, where the family is a law of t/s: s is
+        scale, exp(mu), exp(meanlog) or 1/rate.  That is
+        -(1 + d ln f/d ln t) for an event and, when censored,
         t h(t) = exp(ln f + ln t - ln S), the slope of the cumulative hazard
-        in ln t (Kalbfleisch & Prentice 2002, ch. 3)."""
+        in ln t (Kalbfleisch & Prentice 2002, ch. 3).  The shape score is
+        the partial along the gamma shape k plus psi(k) for the gamma-power
+        families that fit k (see ``_GammaPower``), and 0 for the rest.
+        """
         if event:
-            return -1.0 - self.ln_pdf_slope(t)
-        return _exp(self.ln_pdf(t) + math.log(t) - ln_term)
+            return self.ln_pdf(t), -1.0 - self.ln_pdf_slope(t), 0.0
+        ln_s = self.ln_survival(t)
+        return ln_s, _exp(self.ln_pdf(t) + math.log(t) - ln_s), 0.0
 
     # -- quantiles -------------------------------------------------------
 
@@ -266,6 +275,27 @@ class _GammaPower(Distribution):
         z = _exp(self._b * (_log(t) - self._ln_scale))
         return -1.0 + self._b * (self._k - z)
 
+    def ln_term_scores(self, t, event):
+        # one ln z and at most one kernel call give all three.  With
+        # ln f = ln|b| - ln Gamma(k) - ln t + k ln z - z, the shape score
+        # (the partial along k plus psi(k)) is ln z for an event and the
+        # kernel's partial along its shape when censored; the location
+        # score is -b (k - z), or t h(t) when censored
+        ln_t = _log(t)
+        ln_z = self._b * (ln_t - self._ln_scale)
+        z = _exp(ln_z)
+        if event:
+            ln_f = self._ln_pdf_lead - ln_t + self._k * ln_z - z
+            if ln_f != ln_f:
+                ln_f = self.ln_pdf(t)
+            return ln_f, -self._b * (self._k - z), ln_z
+        if self._b > 0.0:
+            ln_inc, d_k = sf.ln_upper_inc_gamma_da(z, self._k)
+        else:
+            ln_inc, d_k = sf.ln_lower_inc_gamma_da(z, self._k)
+        ln_s = ln_inc - self._ln_gamma_k
+        return ln_s, _exp(self._ln_pdf_lead + self._k * ln_z - z - ln_s), d_k
+
     def ln_survival(self, t):
         z = _exp(self._b * (_log(t) - self._ln_scale))
         if self._b > 0.0:
@@ -355,6 +385,9 @@ class Weibull(_GammaPower):
         # z as ln_pdf and _mrl take it, so mrl's tail over S(x) shares its rounding
         return -_exp(self._b * (_log(t) - self._ln_scale))
 
+    # k is fixed at 1, and S(t) = exp(-z) needs no kernel
+    ln_term_scores = Distribution.ln_term_scores
+
     def _isf_from_ln(self, ln_s):
         return self.scale * (-ln_s) ** (1.0 / self.shape)
 
@@ -386,10 +419,13 @@ class Gompertz(Distribution):
         ln_f = self._ln_rate + self.shape * t + self.ln_survival(t)
         return ln_f if ln_f == ln_f else _ln_pdf_limit(t, 0.0, self._ln_rate)
 
-    def ln_scale_score(self, t, event, ln_term):
+    def ln_term_scores(self, t, event):
         # proportional hazards in rate: d ln S/d ln rate = ln S and
         # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign
-        return -event - self.ln_survival(t)
+        if event:
+            return self.ln_pdf(t), -1.0 - self.ln_survival(t), 0.0
+        ln_s = self.ln_survival(t)
+        return ln_s, -ln_s, 0.0
 
     def ln_survival(self, t):
         if self.shape == 0.0:

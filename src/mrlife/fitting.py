@@ -6,36 +6,48 @@ this module's ``minimize``: a mixed gradient, an Armijo backtracking line
 search, and a stop on the predicted decrease, all on Python lists, so
 fitting needs no array library.  The partials along the intercept and
 the betas are analytic: each likelihood pass can also sum, per distinct
-design row, the rows' location score s = ``Distribution.ln_scale_score``,
-and the betas weight those sums by the design values.  The seven
+design row, the rows' location score s from
+``Distribution.ln_term_scores``, and the betas weight those sums by the
+design values.  The seven
 log-location-scale families of ``LOG_SCALE_PARAMS``, where
 W = (ln T - eta)/sigma has a law free of eta and sigma, take the partial
 along ln sigma from the same pass: d ln f/d ln sigma = (ln t - eta) s - 1
 for an event and (ln t - eta) s when censored (Kalbfleisch & Prentice
 2002, ch. 3; Lawless 2003, ch. 6), so the pass also sums ln t * s per
-group.  That pass returns the objective too, and the line search scores
-its trial points through it, so the accepted point's pass supplies the
-next gradient.  The other shape parameters take central differences.
-Standard errors come from the inverse of a Hessian at the optimum,
-through its Cholesky factor, mapped back to the natural scale by the
-delta method: its analytic rows are central differences of the analytic
-partials, the rest of the shape block central second differences of the
-objective.  A Hessian that is not positive definite gives NaN for every
+group.  The gamma-power families of ``GAMMA_SHAPE_PARAMS`` (gamma,
+gengamma.orig, gengamma), T = scale * G**(1/b) with G ~ Gamma(k), take
+the partial along their shape from the same pass too: each row's term
+moves with k by ln z - psi(k) for an event and by the incomplete gamma's
+partial along its shape less psi(k) when censored, so the pass sums the
+rows' shape scores and takes psi(k) once; gengamma's Q also moves ln z
+and ln|b|.  That pass returns the objective too, and the line search
+scores its trial points through it, so the accepted point's pass
+supplies the next gradient and its value is the loglik ``fit`` reports.
+Only the Gompertz shape, genf's P and Q and genf.orig's s1 and s2 still
+take central differences.  Standard errors come from the inverse of a
+Hessian at the optimum, through its Cholesky factor, mapped back to the
+natural scale by the delta method: its analytic rows are central
+differences of the analytic partials, the rest of the shape block
+central second differences of the objective around the search's last
+value.  A Hessian that is not positive definite gives NaN for every
 standard error.  95% intervals are est*exp(+-1.96*se) for log-scale
 parameters and est +- 1.96*se otherwise.
 
 One likelihood core, ``_loglik``, sums over the distributions that
 ``SurvivalModel.resolve_parameters`` builds, one per distinct design row,
-for ``censored_loglik`` and for the fit objective.  The objective scores
-the model at each trial point and ``fit`` returns the model at the last
-one, so the ``loglik`` a fit reports equals ``censored_loglik`` of the
-model it returns, to the bit.
+for ``censored_loglik`` and for the fit objective; a scoring pass takes
+each row's term from ``ln_term_scores``, which has the bits of
+``ln_pdf`` and ``ln_survival``.  The objective scores the model at each
+trial point and ``fit`` returns the model at the last one, so the
+``loglik`` a fit reports equals ``censored_loglik`` of the model it
+returns, to the bit.
 """
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import specfun as sf
 from .distributions import (DISTRIBUTION_TAGS, Distribution, PARAM_NAMES,
                             POSITIVE_PARAMS, _exp)
 from .regression import (Covariate, CovariateSchema, LOCATION_PARAMS,
@@ -53,6 +65,11 @@ LOG_SCALE_PARAMS = {
     "gengamma": ("sigma", 1.0), "genf.orig": ("sigma", 1.0),
     "genf": ("sigma", 1.0),
 }
+
+# the parameter that sets the shape k of the gamma-power core,
+# T = scale * G**(1/b) with G ~ Gamma(k): theta holds ln k for gamma and
+# gengamma.orig, and Q, with k = Q**-2, for gengamma
+GAMMA_SHAPE_PARAMS = {"gamma": "shape", "gengamma.orig": "k", "gengamma": "Q"}
 
 
 @dataclass(frozen=True)
@@ -108,31 +125,36 @@ class FitResult:
     iterations: int
     n: int
     n_events: int
-    evaluations: int  # likelihood passes: optimizer, Hessian and final loglik
+    evaluations: int  # likelihood passes of the optimizer and the Hessian
 
 
 def _loglik(dists, groups, sample, scores=None, ln_times=()):
     """Censored log likelihood with row i drawn from ``dists[groups[i]]``:
     ``censored_loglik`` and ``fit``'s objective both call it.  The scalar
     terms are summed in row order; NaN once the sum is not finite.  Given
-    ``scores``, two lists of one entry per distribution, each row's
-    ``ln_scale_score`` s is also added to its group's entry in the first,
-    and ln t * s, with ln t from ``ln_times`` (one per row), in the second.
+    ``scores``, three lists of one entry per distribution, the terms come
+    from ``ln_term_scores`` (the same bits), and each row's location score
+    s is also added to its group's entry in the first, ln t * s, with ln t
+    from ``ln_times`` (one per row), in the second, and its shape score in
+    the third.
     """
     total = 0.0
-    if scores is not None:
-        by_group, by_group_ln_t = scores
-        ln_time = iter(ln_times)
-    for group, ti, ei in zip(groups, sample.time, sample.event):
-        d = dists[group]
-        term = d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
+    if scores is None:
+        for group, ti, ei in zip(groups, sample.time, sample.event):
+            d = dists[group]
+            total += d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
+            if not math.isfinite(total):
+                return float("nan")
+        return total
+    by_group, by_group_ln_t, by_group_k = scores
+    for group, ti, ei, ln_t in zip(groups, sample.time, sample.event, ln_times):
+        term, score, k_score = dists[group].ln_term_scores(ti, ei)
         total += term
         if not math.isfinite(total):
             return float("nan")
-        if scores is not None:
-            score = d.ln_scale_score(ti, ei, term)
-            by_group[group] += score
-            by_group_ln_t[group] += next(ln_time) * score
+        by_group[group] += score
+        by_group_ln_t[group] += ln_t * score
+        by_group_k[group] += k_score
     return total
 
 
@@ -218,8 +240,11 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     # log-location-scale family, ln sigma is analytic too
     eta_to_ln_s = -1.0 if location == "rate" else 1.0
     log_scale = LOG_SCALE_PARAMS.get(dist)
+    shape = GAMMA_SHAPE_PARAMS.get(dist)
+    shape_index = param_names.index(shape) if shape else None
     analytic = ([loc_index]
                 + ([param_names.index(log_scale[0])] if log_scale else [])
+                + ([shape_index] if shape else [])
                 + list(range(n_params, len(theta0))))
     ln_times = [math.log(t) for t in sample.time]
     events = [0.0] * len(designs)  # per group
@@ -253,11 +278,11 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         """The objective at theta and its partials along ``analytic``, from
         one likelihood pass; the partials are None where the loglik or a
         partial is not finite."""
-        scores = [0.0] * len(designs), [0.0] * len(designs)
+        scores = [0.0] * len(designs), [0.0] * len(designs), [0.0] * len(designs)
         value = loglik(theta, scores)
         if not math.isfinite(value):
             return _BIG, None
-        by_group, by_group_ln_t = scores
+        by_group, by_group_ln_t, by_group_k = scores
         d_eta = [-eta_to_ln_s * s for s in by_group]  # of -loglik, per group
         out = [math.fsum(d_eta)]
         if log_scale is not None:
@@ -268,7 +293,23 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
                 for beta, x in zip(theta[n_params:], design):
                     eta += beta * x
                 d_ln_sigma.append(s_ln_t - eta * s - e)
-            out.append(-log_scale[1] * math.fsum(d_ln_sigma))
+            d_ln_sigma = math.fsum(d_ln_sigma)
+            out.append(-log_scale[1] * d_ln_sigma)
+        if shape is not None:
+            # d loglik/dk: the rows' shape scores less psi(k) once per row
+            theta_k = theta[shape_index]
+            k = theta_k ** -2 if dist == "gengamma" else math.exp(theta_k)
+            d_k = math.fsum(by_group_k) - len(sample) * sf.digamma(k)
+            if dist != "gengamma":  # theta holds ln k
+                out.append(-k * d_k)
+            else:
+                # Q moves k = Q**-2, ln z = Q w - 2 ln|Q| with
+                # w = (ln t - eta)/sigma, and ln|b| = ln|Q/sigma| of an event;
+                # the location score gives d/d ln z = -s sigma/Q, and the
+                # ln sigma partial the sum of (ln t - eta) s - event
+                q, sigma = theta_k, math.exp(theta[param_names.index("sigma")])
+                out.append(2.0 * d_k / q ** 3 + d_ln_sigma / q
+                           - 2.0 * sigma * math.fsum(by_group) / q ** 2)
         out += [math.fsum(g * design[j] for g, design in zip(d_eta, designs))
                 for j in range(len(design_cols))]
         return -value, out if all(map(math.isfinite, out)) else None
@@ -276,10 +317,11 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     best = minimize(objective, theta0, maxiter=5000, maxfev=10000,
                     partials=partials, analytic=analytic)
     theta_hat = best.x
-    final_loglik = loglik(theta_hat)
+    # the search's last pass scored theta_hat: its value is the loglik
+    final_loglik = -best.fun if best.fun < _BIG else math.nan
     converged = best.success and math.isfinite(final_loglik)
 
-    se_t = _hessian_std_errors(objective, theta_hat, partials, analytic)
+    se_t = _hessian_std_errors(objective, theta_hat, best.fun, partials, analytic)
     names = list(param_names) + design_cols
     estimates, std_errors, ci95 = {}, {}, {}
     for i, name in enumerate(names):
@@ -447,13 +489,13 @@ def _dot(a, b):
     return sum(ai * bi for ai, bi in zip(a, b))
 
 
-def _hessian_std_errors(objective, theta, partials=None, analytic=()):
+def _hessian_std_errors(objective, theta, f0, partials=None, analytic=()):
     """Delta-method standard errors from a Hessian H of the objective: the
     square roots of the diagonal of H^-1, through the Cholesky factor
     H = L L'.  The rows of H along the ``analytic`` coordinates are central
     differences of the partials that ``partials`` returns (see
-    ``minimize``), 2k calls in all; the
-    rest of H takes central second differences of the objective.  Every
+    ``minimize``), 2k calls in all; the rest of H takes central second
+    differences of the objective around ``f0``, its value at theta.  Every
     standard error is NaN when H is not positive definite, since then no
     factor exists and the optimum is no maximum of the likelihood, and when
     ``partials`` gives None near theta."""
@@ -477,7 +519,6 @@ def _hessian_std_errors(objective, theta, partials=None, analytic=()):
             for i, u, d in zip(analytic, up, down):
                 row_of[i][j] = (u - d) / (2.0 * h[j])
 
-    f0 = objective(theta) if len(row_of) < k else math.nan
     chol = []  # the rows of L, each found as soon as that row of H is
     for i in range(k):
         row = []

@@ -10,8 +10,9 @@ kernel fix goes into both twins.
 
 Exported functions (identical in both backends):
 
-``ln_gamma(a)``
-    ln Gamma(a), a > 0.
+``ln_gamma(a)``, ``digamma(a)``
+    ln Gamma(a) and psi(a) = d ln Gamma(a)/da, a > 0; psi by the
+    recurrence up to a >= 10, then the asymptotic series.
 ``upper_inc_gamma(x, a)`` / ``ln_upper_inc_gamma(x, a)``
     Unnormalized upper incomplete gamma with the integral limit first:
     Gamma(x, a) = int_x^inf t^(a-1) e^-t dt.  Series for x < a+1,
@@ -19,6 +20,13 @@ Exported functions (identical in both backends):
     x = 2**51 on when a <= x/1024.
 ``ln_lower_inc_gamma(x, a)``
     ln gamma(x, a), the lower counterpart.
+``ln_upper_inc_gamma_da(x, a)`` / ``ln_lower_inc_gamma_da(x, a)``
+    The pair (ln value, its partial along a), the value with the bits of
+    the kernel above; the partial is the series, the fraction, the
+    complement or the large-x series differentiated forward, each summed
+    until its own step is below 1e-16 (Moore 1982, Appl. Stat. AS 187).
+    Below a = 0.2 the upper partial takes the fraction from x = 0.3 on,
+    where the complement's would lose digits to 1/a.
 ``exp_integral_e1(z)`` / ``exp_integral_e1_scaled(z)``
     E1(z) and exp(z)*E1(z); series below z=1, from z=1 on the incomplete
     gamma's continued fraction at a = 0 (E1(z) = Gamma(z, 0)), asymptotic
@@ -31,8 +39,9 @@ Exported functions (identical in both backends):
 ``ln_std_normal_sf(z)``, ``std_normal_quantile(p)``
     Standard normal log survival (via erfc) and quantile.
 
-The package calls the ``ln_*`` kernels, ``exp_integral_e1_scaled`` and
-``std_normal_quantile``.  ``upper_inc_gamma``, ``exp_integral_e1``,
+The package calls the ``ln_*`` kernels, ``digamma``,
+``exp_integral_e1_scaled`` and ``std_normal_quantile``; fitting takes the
+``_da`` pairs and ``digamma`` for the gamma shape's analytic partial.  ``upper_inc_gamma``, ``exp_integral_e1``,
 ``reg_inc_beta`` and ``gauss_2f1`` have no caller in the package; they
 stay because ``perfbench`` times them.
 
@@ -56,6 +65,9 @@ ln_gamma = _impl.ln_gamma
 ln_beta = _impl.ln_beta
 ln_upper_inc_gamma = _impl.ln_upper_inc_gamma
 ln_lower_inc_gamma = _impl.ln_lower_inc_gamma
+ln_upper_inc_gamma_da = _impl.ln_upper_inc_gamma_da
+ln_lower_inc_gamma_da = _impl.ln_lower_inc_gamma_da
+digamma = _impl.digamma
 upper_inc_gamma = _impl.upper_inc_gamma
 exp_integral_e1 = _impl.exp_integral_e1
 exp_integral_e1_scaled = _impl.exp_integral_e1_scaled

@@ -384,6 +384,9 @@ class TestLikelihoodLoop:
 _LOG_SCALE = {"weibull": "shape", "llogis": "shape", "gengamma.orig": "shape",
               "lnorm": "sdlog", "gengamma": "sigma", "genf.orig": "sigma",
               "genf": "sigma"}
+# the parameter that sets the gamma-power shape k, whose partial the same
+# pass gives from the rows' shape scores
+_GAMMA_SHAPE = {"gamma": "shape", "gengamma.orig": "k", "gengamma": "Q"}
 
 
 class TestLocationScore:
@@ -396,15 +399,18 @@ class TestLocationScore:
         seen = _optimizer_call(monkeypatch, tag, sample, _DESIGNS[design])
         objective, partials, analytic = (seen["objective"], seen["partials"],
                                          seen["analytic"])
-        # the intercept, ln sigma where the family has one, then one beta
-        # per design column
+        # the intercept, ln sigma where the family has one, the gamma shape
+        # where it has one, then one beta per design column
         names = PARAM_NAMES[tag]
         order = [names.index(LOCATION_PARAMS[tag][0])]
         if tag in _LOG_SCALE:
             order.append(names.index(_LOG_SCALE[tag]))
+        if tag in _GAMMA_SHAPE:
+            order.append(names.index(_GAMMA_SHAPE[tag]))
         assert analytic == order + list(range(len(names), len(seen["theta0"])))
         for kernels in kernel_modules:
             monkeypatch.setattr(distributions, "sf", kernels)
+            monkeypatch.setattr(fitting, "sf", kernels)
             for theta in _thetas(seen["theta0"]):
                 value, got = partials(list(theta))
                 assert _same_bits(value, objective(theta))
@@ -427,20 +433,55 @@ class TestLocationScore:
     @pytest.mark.parametrize("tag", ["weibull", "lnorm", "llogis"])
     def test_two_parameter_fits_take_no_central_differences(self, monkeypatch,
                                                             tag):
-        # every pass but the final loglik sums the score: neither the
-        # optimizer nor the Hessian takes central differences of the objective
-        passes = []
-        loglik = fitting._loglik
+        _check_every_pass_sums_the_scores(monkeypatch, tag, seed=91)
 
-        def counted(dists, groups, sample, scores=None, ln_times=()):
-            passes.append(scores is not None)
-            return loglik(dists, groups, sample, scores, ln_times)
+    @pytest.mark.parametrize("tag, seed", [("gamma", 91), ("gengamma.orig", 91),
+                                           ("gengamma", 91), ("gengamma", 87)])
+    def test_gamma_shape_fits_take_no_central_differences(self, monkeypatch,
+                                                          tag, seed):
+        # gengamma seed 91 draws Q > 0 and seed 87 Q < 0, the lower gamma
+        model = _check_every_pass_sums_the_scores(monkeypatch, tag, seed)
+        if tag == "gengamma":
+            assert (model.baseline["Q"] > 0.0) == (seed == 91)
+
+    def test_one_digamma_per_pass(self, monkeypatch):
+        # a numeric covariate gives one distribution per distinct value, all
+        # with one shape k: psi(k) is taken once per pass, not per object
+        passes, calls = [], []
+        loglik, digamma = fitting._loglik, sf.digamma
+
+        def counted(*args):
+            passes.append(len(calls))
+            return loglik(*args)
 
         monkeypatch.setattr(fitting, "_loglik", counted)
-        result, _ = fit(tag, _covariate_sample(tag, seed=91, n=150), ["group"])
+        monkeypatch.setattr(sf, "digamma", lambda a: calls.append(a) or digamma(a))
+        sample = _covariate_sample("gamma", seed=93, numeric=True, n=200)
+        assert len(set(sample.covariates["x"])) == 200
+        result, _ = fit("gamma", sample, ["x"])
         assert result.converged
-        assert passes.count(False) == 1  # the final loglik
-        assert result.evaluations == len(passes)
+        per_pass = np.diff(passes + [len(calls)])
+        assert max(per_pass) <= 1
+        assert sum(per_pass) == len(passes)
+
+
+def _check_every_pass_sums_the_scores(monkeypatch, tag, seed):
+    """Fit ``tag`` with a factor and check that every likelihood pass sums
+    the scores: neither the optimizer nor the Hessian takes central
+    differences of the objective, and the final loglik is the search's."""
+    passes = []
+    loglik = fitting._loglik
+
+    def counted(dists, groups, sample, scores=None, ln_times=()):
+        passes.append(scores is not None)
+        return loglik(dists, groups, sample, scores, ln_times)
+
+    monkeypatch.setattr(fitting, "_loglik", counted)
+    result, model = fit(tag, _covariate_sample(tag, seed=seed, n=150), ["group"])
+    assert result.converged
+    assert passes.count(False) == 0
+    assert result.evaluations == len(passes)
+    return model
 
 
 def _rosenbrock(x):
@@ -550,7 +591,8 @@ class TestHessianStdErrors:
         def saddle(x):
             return x[0] ** 2 - x[1] ** 2 + 0.5 * x[2] ** 2
 
-        se = fitting._hessian_std_errors(saddle, [0.3, -0.2, 0.1])
+        theta = [0.3, -0.2, 0.1]
+        se = fitting._hessian_std_errors(saddle, theta, saddle(theta))
         assert len(se) == 3 and all(math.isnan(v) for v in se)
 
     def test_positive_definite_matches_the_inverse(self):
@@ -577,7 +619,7 @@ def _check_standard_errors_of_a_quadratic(analytic):
     def partials(x):
         return quadratic(x), list((hess @ np.asarray(x))[list(analytic)])
 
-    se = fitting._hessian_std_errors(quadratic, [0.0] * 5, partials, analytic)
+    se = fitting._hessian_std_errors(quadratic, [0.0] * 5, 0.0, partials, analytic)
     expected = np.sqrt(np.diag(np.linalg.inv(hess)))
     assert np.max(np.abs(np.asarray(se) / expected - 1.0)) <= 1e-12
 
@@ -642,3 +684,18 @@ def test_cached_constants_give_the_same_bits(tag):
             ln_pdf, ln_survival = _uncached_terms(d, t)
             assert _same_bits(d.ln_pdf(t), ln_pdf), (d, t)
             assert _same_bits(d.ln_survival(t), ln_survival), (d, t)
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
+def test_row_term_has_the_bits_of_ln_pdf_and_ln_survival(kernel_modules, tag,
+                                                         monkeypatch):
+    # the reported loglik is the search's last scoring pass, which sums
+    # ln_term_scores; censored_loglik sums ln_pdf and ln_survival
+    rng = np.random.default_rng(DISTRIBUTION_TAGS.index(tag) + 131)
+    dists = [make_distribution(tag, sample_params(tag, rng)) for _ in range(20)]
+    for kernels in kernel_modules:
+        monkeypatch.setattr(distributions, "sf", kernels)
+        for d in dists:
+            for t in (1e-3, 0.05, 0.5, 1.0, 2.5, 10.0, 60.0):
+                assert _same_bits(d.ln_term_scores(t, 1.0)[0], d.ln_pdf(t)), (d, t)
+                assert _same_bits(d.ln_term_scores(t, 0.0)[0], d.ln_survival(t)), (d, t)

@@ -16,6 +16,10 @@ from mrlife import specfun as sf
 EULER_GAMMA = 0.5772156649015328606
 
 
+def _same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
 class TestLnGamma:
     def test_one(self):
         assert sf.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
@@ -160,6 +164,70 @@ class TestLargeArgument:
             assert math.isnan(k.ln_upper_inc_gamma(1e20, 0.0)), k.__name__
             assert math.isnan(k.ln_lower_inc_gamma(1e20, -1.0)), k.__name__
             assert math.isnan(k.ln_upper_inc_gamma(1e20, math.nan)), k.__name__
+
+
+class TestShapePartial:
+    """digamma and the (ln value, partial along a) pairs of the incomplete
+    gamma against mpmath, on specfun and on every kernel module directly:
+    a log-uniform in [0.05, 40] with x in (0, 40], x within 0.1% of a + 1
+    (the series/fraction switch), and x >= 2**51 (the asymptotic branch)."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(1982)
+        points = []
+        for _ in range(80):
+            a = float(np.exp(rng.uniform(np.log(0.05), np.log(40.0))))
+            points.append((40.0 - float(rng.uniform(0.0, 40.0)), a))
+            points.append(((a + 1.0) * (1.0 + float(rng.uniform(-1e-3, 1e-3))), a))
+        big = np.exp(rng.uniform(np.log(2.0 ** 51), np.log(1e30), size=6))
+        shapes = np.exp(rng.uniform(np.log(0.05), np.log(40.0), size=6))
+        points += list(zip(big.tolist(), shapes.tolist()))
+        # where a fraction partial stopped with its value is 4.4e-4 off
+        return points + [(3.0746, 2.0)]
+
+    def test_incomplete_gamma_partials_against_mpmath(self, kernel_modules):
+        for x, a in self._points():
+            # ln Gamma(x, a) ~ -x: the partial needs log10(x) more digits
+            with mpmath.workdps(40 + max(0, int(math.log10(x)))):
+                mx = mpmath.mpf(x)
+                expected = {
+                    "upper": float(mpmath.diff(
+                        lambda s: mpmath.log(mpmath.gammainc(s, mx)), a)),
+                    "lower": float(mpmath.diff(
+                        lambda s: mpmath.log(mpmath.gammainc(s, 0, mx)), a))}
+            for k in kernel_modules:
+                for side, want in expected.items():
+                    value, partial = getattr(k, f"ln_{side}_inc_gamma_da")(x, a)
+                    assert _same_bits(value, getattr(k, f"ln_{side}_inc_gamma")(x, a))
+                    assert abs(partial - want) <= 1e-12 * max(1.0, abs(want)), (
+                        k.__name__, side, x, a, partial, want)
+
+    def test_digamma_against_mpmath(self, kernel_modules):
+        rng = np.random.default_rng(1983)
+        points = np.exp(rng.uniform(np.log(0.05), np.log(40.0), size=300)).tolist()
+        # the root near 1.46, the recurrence's switch at 10, far shapes
+        points += [1.4616321449683623, 9.999999999999998, 10.0, 1e-8, 1e6, 1e300]
+        with mpmath.workdps(40):
+            for a in points:
+                want = float(mpmath.digamma(a))
+                for k in kernel_modules:
+                    assert abs(k.digamma(a) - want) <= 1e-14 * max(1.0, abs(want)), (
+                        k.__name__, a)
+
+    def test_edges(self, kernel_modules):
+        for k in kernel_modules:
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                assert math.isnan(k.digamma(bad)), (k.__name__, bad)
+            for side in ("upper", "lower"):
+                fn = getattr(k, f"ln_{side}_inc_gamma_da")
+                for x, a in ((-1.0, 2.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+                    assert all(map(math.isnan, fn(x, a))), (k.__name__, side, x, a)
+            # Gamma(0, a) = Gamma(a) and gamma(inf, a) = Gamma(a): psi(a)
+            assert k.ln_upper_inc_gamma_da(0.0, 2.5) == (k.ln_gamma(2.5), k.digamma(2.5))
+            assert k.ln_lower_inc_gamma_da(math.inf, 2.5)[1] == k.digamma(2.5)
+            assert k.ln_upper_inc_gamma_da(math.inf, 2.5) == (-math.inf, math.inf)
+            assert k.ln_lower_inc_gamma_da(0.0, 2.5) == (-math.inf, -math.inf)
 
 
 class TestIncompleteBeta:
