@@ -282,9 +282,11 @@ def fit(data_path, time_col, event_col, dist, covariates, out_path, fmt):
         if col not in columns:
             raise click.UsageError(f"column '{col}' not found in {data_path}")
     names = [c.strip() for c in covariates.split(",") if c.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in columns:
             raise click.UsageError(f"covariate column '{name}' not found in {data_path}")
+        if name in names[:i]:
+            raise click.UsageError(f"--covariates names '{name}' more than once")
     time = columns[time_col]
     event = columns[event_col]
     if not all(isinstance(v, float) for v in time):

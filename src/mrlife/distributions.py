@@ -421,10 +421,14 @@ class Gompertz(Distribution):
 
     def ln_term_scores(self, t, event):
         # proportional hazards in rate: d ln S/d ln rate = ln S and
-        # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign
-        if event:
-            return self.ln_pdf(t), -1.0 - self.ln_survival(t), 0.0
+        # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign.  One ln S
+        # serves both; ln f is ln_pdf's formula on it
         ln_s = self.ln_survival(t)
+        if event:
+            ln_f = self._ln_rate + self.shape * t + ln_s
+            if ln_f != ln_f:
+                ln_f = _ln_pdf_limit(t, 0.0, self._ln_rate)
+            return ln_f, -1.0 - ln_s, 0.0
         return ln_s, -ln_s, 0.0
 
     def ln_survival(self, t):

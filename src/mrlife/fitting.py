@@ -4,43 +4,35 @@ Parameters are maximized on an unconstrained scale (log transform for
 strictly positive parameters, identity for the rest) by one BFGS run,
 this module's ``minimize``: a mixed gradient, an Armijo backtracking line
 search, and a stop on the predicted decrease, all on Python lists, so
-fitting needs no array library.  The partials along the intercept and
-the betas are analytic: each likelihood pass can also sum, per distinct
-design row, the rows' location score s from
-``Distribution.ln_term_scores``, and the betas weight those sums by the
-design values.  The seven
-log-location-scale families of ``LOG_SCALE_PARAMS``, where
-W = (ln T - eta)/sigma has a law free of eta and sigma, take the partial
-along ln sigma from the same pass: d ln f/d ln sigma = (ln t - eta) s - 1
-for an event and (ln t - eta) s when censored (Kalbfleisch & Prentice
-2002, ch. 3; Lawless 2003, ch. 6), so the pass also sums ln t * s per
-group.  The gamma-power families of ``GAMMA_SHAPE_PARAMS`` (gamma,
-gengamma.orig, gengamma), T = scale * G**(1/b) with G ~ Gamma(k), take
-the partial along their shape from the same pass too: each row's term
-moves with k by ln z - psi(k) for an event and by the incomplete gamma's
-partial along its shape less psi(k) when censored, so the pass sums the
-rows' shape scores and takes psi(k) once; gengamma's Q also moves ln z
-and ln|b|.  That pass returns the objective too, and the line search
-scores its trial points through it, so the accepted point's pass
-supplies the next gradient and its value is the loglik ``fit`` reports.
-Only the Gompertz shape, genf's P and Q and genf.orig's s1 and s2 still
-take central differences.  Standard errors come from the inverse of a
-Hessian at the optimum, through its Cholesky factor, mapped back to the
-natural scale by the delta method: its analytic rows are central
-differences of the analytic partials, the rest of the shape block
-central second differences of the objective around the search's last
-value.  A Hessian that is not positive definite gives NaN for every
-standard error.  95% intervals are est*exp(+-1.96*se) for log-scale
-parameters and est +- 1.96*se otherwise.
+fitting needs no array library.
 
-One likelihood core, ``_loglik``, sums over the distributions that
-``SurvivalModel.resolve_parameters`` builds, one per distinct design row,
-for ``censored_loglik`` and for the fit objective; a scoring pass takes
-each row's term from ``ln_term_scores``, which has the bits of
-``ln_pdf`` and ``ln_survival``.  The objective scores the model at each
-trial point and ``fit`` returns the model at the last one, so the
-``loglik`` a fit reports equals ``censored_loglik`` of the model it
-returns, to the bit.
+One likelihood loop, ``_loglik``, serves ``censored_loglik`` and ``fit``.
+It takes each row's term, with the bits of ``ln_pdf`` or ``ln_survival``,
+its location score s and its shape score from
+``Distribution.ln_term_scores``, and sums s, ln t * s and the shape
+scores per distinct design row, one distribution each.  From one pass,
+``fit``'s ``score`` gives the objective and its partials: along the
+intercept and the betas from the sums of s, the betas weighting them by
+the design values; along ln sigma for the log-location-scale families of
+``LOG_SCALE_PARAMS``, where W = (ln T - eta)/sigma has a law free of eta
+and sigma, as d ln f/d ln sigma = (ln t - eta) s - 1 for an event and
+(ln t - eta) s when censored (Kalbfleisch & Prentice 2002, ch. 3; Lawless
+2003, ch. 6); and along the shape k of the gamma-power families of
+``GAMMA_SHAPE_PARAMS``, T = scale * G**(1/b) with G ~ Gamma(k), whose row
+terms move with k by the shape score less psi(k), psi(k) taken once per
+pass (gengamma's Q also moves ln z and ln|b|).
+
+``minimize`` and ``_hessian_std_errors`` call ``score`` and nothing else.
+The line search scores its trial points, so the accepted point's pass
+supplies the next gradient and its value is the reported loglik, to the
+bit ``censored_loglik`` of the model ``fit`` returns.  The Gompertz
+shape, genf's P and Q and genf.orig's s1 and s2 have no closed-form
+partial and take central differences of the objective.  Standard errors
+come from the inverse of the Hessian at the optimum, through its Cholesky
+factor, mapped back to the natural scale by the delta method; a Hessian
+that is not positive definite gives NaN for every standard error.  95%
+intervals are est*exp(+-1.96*se) for log-scale parameters and
+est +- 1.96*se otherwise.
 """
 import math
 import numbers
@@ -128,34 +120,29 @@ class FitResult:
     evaluations: int  # likelihood passes of the optimizer and the Hessian
 
 
-def _loglik(dists, groups, sample, scores=None, ln_times=()):
-    """Censored log likelihood with row i drawn from ``dists[groups[i]]``:
-    ``censored_loglik`` and ``fit``'s objective both call it.  The scalar
-    terms are summed in row order; NaN once the sum is not finite.  Given
-    ``scores``, three lists of one entry per distribution, the terms come
-    from ``ln_term_scores`` (the same bits), and each row's location score
-    s is also added to its group's entry in the first, ln t * s, with ln t
-    from ``ln_times`` (one per row), in the second, and its shape score in
-    the third.
+def _loglik(dists, groups, sample, ln_times):
+    """Censored log likelihood with row i drawn from ``dists[groups[i]]``,
+    and its score sums: ``censored_loglik`` and ``fit``'s score both call
+    it.  Each row's term and scores come from ``ln_term_scores``, whose
+    terms have the bits of ``ln_pdf`` and ``ln_survival``; the terms are
+    summed in row order.  Returns ``(total, sums)``: ``sums`` holds three
+    lists of one entry per distribution, the sums over its rows of the
+    location score s, of ln t * s with ln t from ``ln_times`` (one per
+    row), and of the shape score.  ``(NaN, None)`` once the total is not
+    finite.
     """
     total = 0.0
-    if scores is None:
-        for group, ti, ei in zip(groups, sample.time, sample.event):
-            d = dists[group]
-            total += d.ln_pdf(ti) if ei == 1.0 else d.ln_survival(ti)
-            if not math.isfinite(total):
-                return float("nan")
-        return total
-    by_group, by_group_ln_t, by_group_k = scores
+    sums = tuple([0.0] * len(dists) for _ in range(3))
+    by_group, by_group_ln_t, by_group_k = sums
     for group, ti, ei, ln_t in zip(groups, sample.time, sample.event, ln_times):
         term, score, k_score = dists[group].ln_term_scores(ti, ei)
         total += term
         if not math.isfinite(total):
-            return float("nan")
+            return math.nan, None
         by_group[group] += score
         by_group_ln_t[group] += ln_t * score
         by_group_k[group] += k_score
-    return total
+    return total, sums
 
 
 def censored_loglik(obj, sample: CensoredSample) -> float:
@@ -168,14 +155,15 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
     by ``fit`` this is, to the bit, the ``loglik`` that ``fit`` reported.
     """
     if isinstance(obj, Distribution):
-        return _loglik([obj], [0] * len(sample), sample)
-    if isinstance(obj, SurvivalModel):
+        dists, groups = [obj], [0] * len(sample)
+    elif isinstance(obj, SurvivalModel):
         names = [c.name for c in obj.schema.covariates]
         rows = rows_of(sample.covariates or {}, names, len(sample))
         designs, groups = distinct_design_rows(obj.schema, rows)
-        return _loglik([obj.resolve_parameters(d) for d in designs], groups,
-                       sample)
-    raise TypeError("expected a Distribution or SurvivalModel")
+        dists = [obj.resolve_parameters(d) for d in designs]
+    else:
+        raise TypeError("expected a Distribution or SurvivalModel")
+    return _loglik(dists, groups, sample, [math.log(t) for t in sample.time])[0]
 
 
 def infer_schema(columns: Dict[str, list], names: Sequence[str]) -> CovariateSchema:
@@ -236,8 +224,9 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     loc_index = param_names.index(location)
     n_params = len(param_names)
     # the intercept and the betas move eta, and eta moves ln s (the time
-    # scale of ln_scale_score) forward, or backward for a rate; for a
-    # log-location-scale family, ln sigma is analytic too
+    # scale of the location score in ln_term_scores) forward, or backward
+    # for a rate; ln sigma and the gamma shape are analytic where the
+    # family has them
     eta_to_ln_s = -1.0 if location == "rate" else 1.0
     log_scale = LOG_SCALE_PARAMS.get(dist)
     shape = GAMMA_SHAPE_PARAMS.get(dist)
@@ -260,29 +249,22 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
 
     passes = 0
 
-    def loglik(theta, scores=None):
+    def score(theta):
+        """The objective, -loglik or ``_BIG`` where that is not finite, at
+        theta and its partials along ``analytic``, from one likelihood pass;
+        the partials are None where the loglik or a partial is not finite."""
         nonlocal passes
         passes += 1
+        theta = [float(v) for v in theta]
         try:
-            model = model_at([float(v) for v in theta])
-            return _loglik([model.resolve_parameters(d) for d in designs],
-                           groups, sample, scores, ln_times)
+            model = model_at(theta)
+            value, sums = _loglik([model.resolve_parameters(d) for d in designs],
+                                  groups, sample, ln_times)
         except (ValueError, ArithmeticError):  # outside the domain or float range
-            return float("nan")
-
-    def objective(theta):
-        value = loglik(theta)
-        return -value if math.isfinite(value) else _BIG
-
-    def partials(theta):
-        """The objective at theta and its partials along ``analytic``, from
-        one likelihood pass; the partials are None where the loglik or a
-        partial is not finite."""
-        scores = [0.0] * len(designs), [0.0] * len(designs), [0.0] * len(designs)
-        value = loglik(theta, scores)
-        if not math.isfinite(value):
             return _BIG, None
-        by_group, by_group_ln_t, by_group_k = scores
+        if sums is None:
+            return _BIG, None
+        by_group, by_group_ln_t, by_group_k = sums
         d_eta = [-eta_to_ln_s * s for s in by_group]  # of -loglik, per group
         out = [math.fsum(d_eta)]
         if log_scale is not None:
@@ -314,14 +296,13 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
                 for j in range(len(design_cols))]
         return -value, out if all(map(math.isfinite, out)) else None
 
-    best = minimize(objective, theta0, maxiter=5000, maxfev=10000,
-                    partials=partials, analytic=analytic)
+    best = minimize(score, theta0, maxiter=5000, maxfev=10000, analytic=analytic)
     theta_hat = best.x
     # the search's last pass scored theta_hat: its value is the loglik
     final_loglik = -best.fun if best.fun < _BIG else math.nan
     converged = best.success and math.isfinite(final_loglik)
 
-    se_t = _hessian_std_errors(objective, theta_hat, best.fun, partials, analytic)
+    se_t = _hessian_std_errors(score, theta_hat, best.fun, analytic=analytic)
     names = list(param_names) + design_cols
     estimates, std_errors, ci95 = {}, {}, {}
     for i, name in enumerate(names):
@@ -364,47 +345,39 @@ class _BudgetSpent(Exception):
     """``maxfev`` evaluations are spent; the step in progress is dropped."""
 
 
-def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
-    """Minimize ``fun`` from ``x0`` by BFGS.
+def minimize(score, x0, *, maxiter, maxfev, analytic=()):
+    """Minimize an objective f from ``x0`` by BFGS.
 
-    ``partials(x)``, when given, returns the pair ``(fun(x), partials)``:
-    the partials of ``fun`` at x along the coordinates ``analytic``, in that
-    order, or None where it has none; ``fit`` passes the location score.
-    Every point the search scores, the start and each line-search trial,
-    goes through it, so an accepted point's call supplies the next
-    gradient (Nocedal & Wright 2006, ch. 3).  The gradient takes those
-    partials and central differences of ``fun`` with steps
+    ``score(x)`` returns the pair ``(f(x), partials)``: the partials of f
+    at x along the coordinates ``analytic``, in that order, or None where
+    it has none; ``fit`` passes its likelihood pass.  The start and each
+    line-search trial are scored once, so an accepted point's call
+    supplies the next gradient (Nocedal & Wright 2006, ch. 3).  The
+    gradient takes those partials and central differences of f with steps
     h_i = 1e-5 (1 + |x_i|) along the other coordinates, or along all of
-    them where ``partials`` gives None.  A call of ``fun`` or ``partials``
-    counts as one evaluation in ``nfev`` and against ``maxfev``.  The
-    inverse Hessian starts as I / max(1, |g|_inf), so no coordinate moves
-    more than 1 in the first step, is rescaled after it (eq. 6.20) and then
-    follows the BFGS update (eq. 6.17), skipped when s'y is not positive.
-    Each step backtracks from the full step, by a safeguarded quadratic,
-    until the Armijo condition holds; ``_BIG`` and non-finite values count
-    as no decrease.  The search succeeds when the predicted decrease g'Hg/2
-    is at most 1e-12 (1 + |f|); a gradient-norm stop would sit at the level
+    them where ``score`` gives None.  Each call of ``score`` counts as one
+    evaluation in ``nfev`` and against ``maxfev``.  The inverse Hessian
+    starts as I / max(1, |g|_inf), so no coordinate moves more than 1 in
+    the first step, is rescaled after it (eq. 6.20) and then follows the
+    BFGS update (eq. 6.17), skipped when s'y is not positive.  Each step
+    backtracks from the full step, by a safeguarded quadratic, until the
+    Armijo condition holds; ``_BIG`` and non-finite values count as no
+    decrease.  The search succeeds when the predicted decrease g'Hg/2 is
+    at most 1e-12 (1 + |f|); a gradient-norm stop would sit at the level
     of the finite-difference noise.  ``success`` is false when the line
     search finds no decrease or ``maxiter`` iterations or ``maxfev``
-    evaluations stop it first.  ``fun`` and ``partials`` get a copy of each
-    point.
+    evaluations stop it first.  ``score`` gets a copy of each point.
     """
     x = [float(v) for v in x0]
     n = len(x)
     nfev = 0
 
-    def evaluate(point, f=fun):
+    def evaluate(point):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return f(list(point))
-
-    def score(point):
-        """``fun`` at point and the partials ``partials`` gives there."""
-        if partials is None:
-            return evaluate(point), None
-        return evaluate(point, partials)
+        return score(list(point))
 
     def gradient(point, known):
         known = dict(zip(analytic, known or ()))
@@ -417,15 +390,15 @@ def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
             up, down = list(point), list(point)
             up[i] += h
             down[i] -= h
-            g.append((evaluate(up) - evaluate(down)) / (up[i] - down[i]))
+            g.append((evaluate(up)[0] - evaluate(down)[0]) / (up[i] - down[i]))
         return g
 
     def line_search(point, f0, p, slope):
-        """Armijo step length along ``p`` with the ``score`` of its point, or
-        None when no representable step decreases ``fun``."""
+        """Armijo step length along ``p`` with the score of its point, or
+        None when no representable step decreases f."""
         alpha = 1.0
         while any(xi + alpha * pi != xi for xi, pi in zip(point, p)):
-            f_new, known = score([xi + alpha * pi for xi, pi in zip(point, p)])
+            f_new, known = evaluate([xi + alpha * pi for xi, pi in zip(point, p)])
             if not (math.isfinite(f_new) and f_new < _BIG):
                 alpha *= 0.1
             elif f_new <= f0 + 1e-4 * alpha * slope:
@@ -443,7 +416,7 @@ def minimize(fun, x0, *, maxiter, maxfev, partials=None, analytic=()):
 
     f, nit, success = math.inf, 0, False
     try:
-        f, known = score(x)
+        f, known = evaluate(x)
         g = gradient(x, known)
         hess_inv = scaled_identity(g)
         first_step = True
@@ -489,16 +462,16 @@ def _dot(a, b):
     return sum(ai * bi for ai, bi in zip(a, b))
 
 
-def _hessian_std_errors(objective, theta, f0, partials=None, analytic=()):
-    """Delta-method standard errors from a Hessian H of the objective: the
-    square roots of the diagonal of H^-1, through the Cholesky factor
-    H = L L'.  The rows of H along the ``analytic`` coordinates are central
-    differences of the partials that ``partials`` returns (see
-    ``minimize``), 2k calls in all; the rest of H takes central second
-    differences of the objective around ``f0``, its value at theta.  Every
-    standard error is NaN when H is not positive definite, since then no
-    factor exists and the optimum is no maximum of the likelihood, and when
-    ``partials`` gives None near theta."""
+def _hessian_std_errors(score, theta, f0, analytic=()):
+    """Delta-method standard errors from a Hessian H of the objective f that
+    ``score`` gives with its partials (see ``minimize``): the square roots
+    of the diagonal of H^-1, through the Cholesky factor H = L L'.  The
+    rows of H along the ``analytic`` coordinates are central differences
+    of those partials, 2k calls in all; the rest of H takes central second
+    differences of f around ``f0``, its value at theta.  Every standard
+    error is NaN when H is not positive definite, since then no factor
+    exists and the optimum is no maximum of the likelihood, and when
+    ``score`` gives None for the partials near theta."""
     k = len(theta)
     h = [1e-4 * (1.0 + abs(v)) for v in theta]
 
@@ -509,12 +482,12 @@ def _hessian_std_errors(objective, theta, f0, partials=None, analytic=()):
         return point
 
     def at(*moves):
-        return objective(moved(*moves))
+        return score(moved(*moves))[0]
 
     # the rows of H along analytic; column j from the partials at theta -+ h_j
     row_of = {i: [math.nan] * k for i in analytic}
     for j in range(k if analytic else 0):
-        up, down = partials(moved((j, 1.0)))[1], partials(moved((j, -1.0)))[1]
+        up, down = score(moved((j, 1.0)))[1], score(moved((j, -1.0)))[1]
         if up is not None and down is not None:
             for i, u, d in zip(analytic, up, down):
                 row_of[i][j] = (u - d) / (2.0 * h[j])

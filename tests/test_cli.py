@@ -405,6 +405,15 @@ class TestFitCommand:
         assert res.exit_code == 1
         assert "Error:" in res.output and "finite" in res.output
 
+    def test_repeated_covariate_name_exit_2(self, tmp_path):
+        path = tmp_path / "group.csv"
+        write_csv(path, {"t": [1.0, 2.0, 3.0], "status": [1, 0, 1],
+                         "group": ["a", "b", "a"]})
+        res = run(["fit", "--data", str(path), "--time", "t", "--event",
+                   "status", "--dist", "weibull", "--covariates", "group,group"])
+        assert res.exit_code == 2
+        assert "'group' more than once" in res.output
+
     def test_non_binary_event_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv(path, {"t": [1.0, 2.0], "status": [1, 2]})

@@ -95,15 +95,33 @@ class TestCensoredLoglik:
                 total += -z
         assert censored_loglik(d, sample) == pytest.approx(total, abs=1e-10 * abs(total))
 
-    def test_scalar_and_vector_paths_agree(self):
-        time, event = weibull_censored_sample(60, 1.4, 3.0, 0.25, seed=5)
-        sample = CensoredSample.from_lists(time, event)
-        d = make_distribution("weibull", {"shape": 1.1, "scale": 2.5})
-        vector = censored_loglik(d, sample)
-        scalar = sum(
-            d.ln_pdf(t) if e == 1.0 else d.ln_survival(t)
-            for t, e in zip(time, event))
-        assert vector == pytest.approx(scalar, rel=1e-13)
+    def test_is_the_row_order_sum_of_ln_pdf_and_ln_survival(self, monkeypatch,
+                                                             kernel_modules):
+        # every family, one distribution for all rows and a 3-level factor
+        # model, on each kernel module: the bits of the sequential sum
+        for kernels in kernel_modules:
+            monkeypatch.setattr(distributions, "sf", kernels)
+            for tag in DISTRIBUTION_TAGS:
+                # the parameters _covariate_sample draws its rows from
+                seed = DISTRIBUTION_TAGS.index(tag) + 141
+                sample = _covariate_sample(tag, seed)
+                params = sample_params(tag, np.random.default_rng(seed))
+                d = make_distribution(tag, params)
+                location, link = LOCATION_PARAMS[tag]
+                intercept = (math.log(params[location]) if link == "log"
+                             else params[location])
+                schema = fitting.infer_schema(sample.covariates, ["group"])
+                model = SurvivalModel(tag, params, (intercept - 0.3, 0.3, 0.6),
+                                      schema)
+                rows = [model.resolve_row({"group": g})
+                        for g in sample.covariates["group"]]
+                for obj, dists in ((d, [d] * len(sample)), (model, rows)):
+                    total = 0.0
+                    for row, t, e in zip(dists, sample.time, sample.event):
+                        total += row.ln_pdf(t) if e == 1.0 else row.ln_survival(t)
+                    assert math.isfinite(total), (kernels.__name__, tag)
+                    assert _same_bits(censored_loglik(obj, sample), total), (
+                        kernels.__name__, tag, obj)
 
     def test_zero_density_gives_nan(self):
         d = Weibull(2.0, 1.0)
@@ -222,14 +240,14 @@ class TestFit:
     def test_huge_standard_error_saturates_the_interval(self, monkeypatch):
         time, event = weibull_censored_sample(50, 1.4, 3.0, 0.2, seed=11)
         monkeypatch.setattr(fitting, "_hessian_std_errors",
-                            lambda objective, theta, *partials:
+                            lambda score, theta, f0, **options:
                             np.full(len(theta), 400.0))
         result, _ = fit("weibull", CensoredSample.from_lists(time, event))
         assert result.ci95["shape"] == (0.0, math.inf)
 
     def test_non_finite_final_loglik_is_not_converged(self, monkeypatch):
         time, event = weibull_censored_sample(50, 1.4, 3.0, 0.2, seed=11)
-        monkeypatch.setattr(fitting, "_loglik", lambda *args: math.nan)
+        monkeypatch.setattr(fitting, "_loglik", lambda *args: (math.nan, None))
         result, _ = fit("weibull", CensoredSample.from_lists(time, event))
         assert math.isnan(result.loglik)
         assert not result.converged
@@ -247,8 +265,8 @@ class TestReportedLoglik:
         # the identity holds wherever the search stops: a small budget
         # keeps the slow families quick
         uncapped = fitting.minimize
-        monkeypatch.setattr(fitting, "minimize", lambda fun, x0, **options:
-                            uncapped(fun, x0, **dict(options, maxfev=300)))
+        monkeypatch.setattr(fitting, "minimize", lambda score, x0, **options:
+                            uncapped(score, x0, **dict(options, maxfev=300)))
         sample = _covariate_sample(tag, DISTRIBUTION_TAGS.index(tag) + 71,
                                    numeric=design == "numeric")
         if design == "none":
@@ -289,8 +307,8 @@ def _optimizer_call(monkeypatch, tag, sample, covariates=("group",)):
     """The arguments fit() passes to the optimizer, caught at the call."""
     seen = {}
 
-    def capture(fun, x0, **kwargs):
-        seen.update(kwargs, objective=fun, theta0=np.array(x0))
+    def capture(score, x0, **kwargs):
+        seen.update(kwargs, score=score, theta0=np.array(x0))
         raise _Captured
 
     monkeypatch.setattr(fitting, "minimize", capture)
@@ -300,9 +318,9 @@ def _optimizer_call(monkeypatch, tag, sample, covariates=("group",)):
 
 
 def _objective(monkeypatch, tag, sample):
-    """fit()'s objective and start values."""
+    """fit()'s objective, the value its score gives, and start values."""
     seen = _optimizer_call(monkeypatch, tag, sample)
-    return seen["objective"], seen["theta0"]
+    return (lambda theta: seen["score"](theta)[0]), seen["theta0"]
 
 
 def _naive_objective(tag, sample, theta):
@@ -397,8 +415,7 @@ class TestLocationScore:
         sample = _covariate_sample(tag, seed=_ALL_TAGS.index(tag) + 81,
                                    numeric=design == "numeric")
         seen = _optimizer_call(monkeypatch, tag, sample, _DESIGNS[design])
-        objective, partials, analytic = (seen["objective"], seen["partials"],
-                                         seen["analytic"])
+        score, analytic = seen["score"], seen["analytic"]
         # the intercept, ln sigma where the family has one, the gamma shape
         # where it has one, then one beta per design column
         names = PARAM_NAMES[tag]
@@ -412,14 +429,13 @@ class TestLocationScore:
             monkeypatch.setattr(distributions, "sf", kernels)
             monkeypatch.setattr(fitting, "sf", kernels)
             for theta in _thetas(seen["theta0"]):
-                value, got = partials(list(theta))
-                assert _same_bits(value, objective(theta))
+                _, got = score(list(theta))
                 for i, partial in zip(analytic, got):
                     h = 1e-6 * (1.0 + abs(theta[i]))
                     up, down = list(theta), list(theta)
                     up[i] += h
                     down[i] -= h
-                    expected = (objective(up) - objective(down)) / (up[i] - down[i])
+                    expected = (score(up)[0] - score(down)[0]) / (up[i] - down[i])
                     assert partial == pytest.approx(expected, rel=1e-6), (
                         kernels.__name__, i)
 
@@ -428,7 +444,7 @@ class TestLocationScore:
         seen = _optimizer_call(monkeypatch, "weibull", sample)
         theta = seen["theta0"].copy()
         theta[seen["analytic"][0]] = 800.0  # exp(800) overflows
-        assert seen["partials"](list(theta)) == (fitting._BIG, None)
+        assert seen["score"](list(theta)) == (fitting._BIG, None)
 
     @pytest.mark.parametrize("tag", ["weibull", "lnorm", "llogis"])
     def test_two_parameter_fits_take_no_central_differences(self, monkeypatch,
@@ -466,21 +482,30 @@ class TestLocationScore:
 
 
 def _check_every_pass_sums_the_scores(monkeypatch, tag, seed):
-    """Fit ``tag`` with a factor and check that every likelihood pass sums
-    the scores: neither the optimizer nor the Hessian takes central
-    differences of the objective, and the final loglik is the search's."""
-    passes = []
-    loglik = fitting._loglik
+    """Fit ``tag`` with a factor and check that neither the optimizer nor
+    the Hessian takes central differences of the objective: every
+    coordinate has an analytic partial and every score call gives them.
+    ``evaluations`` counts those calls."""
+    analytic, partials = [], []
 
-    def counted(dists, groups, sample, scores=None, ln_times=()):
-        passes.append(scores is not None)
-        return loglik(dists, groups, sample, scores, ln_times)
+    def recorded(call):
+        def wrapped(score, *args, **options):
+            def scored(theta):
+                value, got = score(theta)
+                partials.append(got)
+                return value, got
+            analytic.append(options["analytic"])
+            return call(scored, *args, **options)
+        return wrapped
 
-    monkeypatch.setattr(fitting, "_loglik", counted)
+    for name in ("minimize", "_hessian_std_errors"):
+        monkeypatch.setattr(fitting, name, recorded(getattr(fitting, name)))
     result, model = fit(tag, _covariate_sample(tag, seed=seed, n=150), ["group"])
     assert result.converged
-    assert passes.count(False) == 0
-    assert result.evaluations == len(passes)
+    k = len(result.estimates)
+    assert [sorted(a) for a in analytic] == [list(range(k))] * 2
+    assert None not in partials
+    assert result.evaluations == len(partials)
     return model
 
 
@@ -508,13 +533,31 @@ def _quadratic(x):
 _CAPS = dict(maxiter=5000, maxfev=10000)
 
 
+def _value_only(fun):
+    """A score callable with no partials: the objective ``fun`` alone."""
+    return lambda x: (fun(x), None)
+
+
+def _probes(point, coords):
+    """The central-difference points around ``point`` along ``coords``, as
+    ``minimize`` forms them."""
+    out = []
+    for i in coords:
+        h = 1e-5 * (1.0 + abs(point[i]))
+        up, down = list(point), list(point)
+        up[i] += h
+        down[i] -= h
+        out += [tuple(up), tuple(down)]
+    return out
+
+
 class TestMinimize:
     @pytest.mark.parametrize("fun, x0, minimizer", [
         (_quadratic, [0.0, 0.0, 0.0], [1.0, -2.0, 3.0]),
         (_rosenbrock, [-1.2, 1.0], [1.0, 1.0]),
     ], ids=["quadratic", "rosenbrock"])
     def test_reaches_the_minimizer(self, fun, x0, minimizer):
-        result = fitting.minimize(fun, np.array(x0), **_CAPS)
+        result = fitting.minimize(_value_only(fun), np.array(x0), **_CAPS)
         assert result.success
         assert np.max(np.abs(np.asarray(result.x) - minimizer)) <= 1e-6
         assert result.fun == fun(result.x)
@@ -526,7 +569,8 @@ class TestMinimize:
                              ids=["maxfev", "maxfev in the first gradient",
                                   "maxiter"])
     def test_caps_stop_without_success(self, caps):
-        result = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]), **caps)
+        result = fitting.minimize(_value_only(_rosenbrock), np.array([-1.2, 1.0]),
+                                  **caps)
         assert not result.success
         assert result.nfev <= caps["maxfev"]
         assert result.nit <= caps["maxiter"]
@@ -535,33 +579,32 @@ class TestMinimize:
 
     @pytest.mark.parametrize("analytic", [(2, 0), (0, 1, 2)])
     def test_takes_partials_and_counts_each_call(self, analytic):
-        calls = {"fun": 0, "partials": []}
+        points = []
 
-        def fun(x):
-            calls["fun"] += 1
-            return _quadratic(x)
-
-        def partials(x):
-            calls["partials"].append(tuple(x))
+        def score(x):
+            points.append(tuple(x))
             d = np.asarray(x) - np.array([1.0, -2.0, 3.0])
             gradient = (d[0] + d[1], 20.0 * d[1] + d[0], 100.0 * d[2])
             return _quadratic(x), [gradient[i] for i in analytic]
 
-        result = fitting.minimize(fun, np.zeros(3), partials=partials,
-                                  analytic=list(analytic), **_CAPS)
+        result = fitting.minimize(score, np.zeros(3), analytic=list(analytic),
+                                  **_CAPS)
         assert result.success
         assert np.max(np.abs(np.asarray(result.x) - [1.0, -2.0, 3.0])) <= 1e-6
-        # the start and every line-search trial go through partials, each
-        # once, and fun takes the central differences of each gradient
-        points = calls["partials"]
-        assert result.nit + 1 <= len(points) == len(set(points))
-        assert calls["fun"] == 2 * (3 - len(analytic)) * (result.nit + 1)
-        assert result.nfev == calls["fun"] + len(points)
+        # the start and every line-search trial are scored once each, and
+        # each gradient takes central differences along the other
+        # coordinates, around the start and every accepted point
+        others = [i for i in range(3) if i not in analytic]
+        probes = {q for p in points for q in _probes(p, others)}
+        trials = [p for p in points if p not in probes]
+        assert result.nit + 1 <= len(trials) == len(set(trials))
+        assert len(points) - len(trials) == 2 * len(others) * (result.nit + 1)
+        assert result.nfev == len(points)
 
     def test_partials_none_falls_back_to_central_differences(self):
-        plain = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]), **_CAPS)
-        result = fitting.minimize(_rosenbrock, np.array([-1.2, 1.0]),
-                                  partials=lambda x: (_rosenbrock(x), None),
+        plain = fitting.minimize(_value_only(_rosenbrock), np.array([-1.2, 1.0]),
+                                 **_CAPS)
+        result = fitting.minimize(_value_only(_rosenbrock), np.array([-1.2, 1.0]),
                                   analytic=[0], **_CAPS)
         assert result.x == plain.x and result.nit == plain.nit
         assert result.nfev == plain.nfev
@@ -572,16 +615,18 @@ class TestMinimize:
             x[:] = [math.nan] * len(x)
             return value
 
-        result = fitting.minimize(scribble, np.array([-1.2, 1.0]), **_CAPS)
+        result = fitting.minimize(_value_only(scribble), np.array([-1.2, 1.0]),
+                                  **_CAPS)
         assert result.success and np.max(np.abs(np.asarray(result.x) - 1.0)) <= 1e-6
 
     def test_no_accepted_point_is_walled_off(self):
         # the k-th accepted point is what a run capped at k iterations returns
         x0 = np.ones(4)
-        final = fitting.minimize(_walled_bowl, x0, **_CAPS)
+        final = fitting.minimize(_value_only(_walled_bowl), x0, **_CAPS)
         assert 4.0 < np.sum(final.x) <= 4.02  # it ends on the wall
         for k in range(final.nit + 1):
-            result = fitting.minimize(_walled_bowl, x0, **dict(_CAPS, maxiter=k))
+            result = fitting.minimize(_value_only(_walled_bowl), x0,
+                                      **dict(_CAPS, maxiter=k))
             assert result.nit == k
             assert result.fun == _walled_bowl(result.x) < fitting._BIG
 
@@ -592,7 +637,7 @@ class TestHessianStdErrors:
             return x[0] ** 2 - x[1] ** 2 + 0.5 * x[2] ** 2
 
         theta = [0.3, -0.2, 0.1]
-        se = fitting._hessian_std_errors(saddle, theta, saddle(theta))
+        se = fitting._hessian_std_errors(_value_only(saddle), theta, saddle(theta))
         assert len(se) == 3 and all(math.isnan(v) for v in se)
 
     def test_positive_definite_matches_the_inverse(self):
@@ -616,10 +661,10 @@ def _check_standard_errors_of_a_quadratic(analytic):
         x = np.asarray(x)
         return float(0.5 * x @ hess @ x)
 
-    def partials(x):
+    def score(x):
         return quadratic(x), list((hess @ np.asarray(x))[list(analytic)])
 
-    se = fitting._hessian_std_errors(quadratic, [0.0] * 5, 0.0, partials, analytic)
+    se = fitting._hessian_std_errors(score, [0.0] * 5, 0.0, analytic)
     expected = np.sqrt(np.diag(np.linalg.inv(hess)))
     assert np.max(np.abs(np.asarray(se) / expected - 1.0)) <= 1e-12
 
@@ -689,8 +734,8 @@ def test_cached_constants_give_the_same_bits(tag):
 @pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
 def test_row_term_has_the_bits_of_ln_pdf_and_ln_survival(kernel_modules, tag,
                                                          monkeypatch):
-    # the reported loglik is the search's last scoring pass, which sums
-    # ln_term_scores; censored_loglik sums ln_pdf and ln_survival
+    # every likelihood pass, censored_loglik's too, sums ln_term_scores:
+    # its terms are ln_pdf and ln_survival
     rng = np.random.default_rng(DISTRIBUTION_TAGS.index(tag) + 131)
     dists = [make_distribution(tag, sample_params(tag, rng)) for _ in range(20)]
     for kernels in kernel_modules:
