@@ -65,7 +65,10 @@ def parse_values(spec):
             if values and abs(values[-1] - stop) < 1e-9 * max(1.0, abs(stop)):
                 values[-1] = stop
             return values
-        return [float(v) for v in s.split(",") if v.strip() != ""]
+        values = [float(v) for v in s.split(",") if v.strip() != ""]
+        if not values:
+            raise ValueError("no lifetimes given")
+        return values
     except ValueError as exc:
         raise click.UsageError(f"bad --values/--range '{spec}': {exc}")
 

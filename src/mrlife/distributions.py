@@ -16,12 +16,12 @@ package and the CLI::
 
 Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 ``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  Each family
-defines three formulas, ``ln_pdf``, ``ln_survival`` and ``_mrl``; ``pdf``
-and ``survival`` are the exponentials of the first two.  A fourth,
-``ln_pdf_slope`` (d ln f/d ln t), gives the location score of
-``ln_term_scores``, the row term and scores that fitting sums; Gompertz,
-proportional hazards in its rate, states that score directly, and the
-gamma-power core also gives the partial along its shape k.  The mean residual
+defines three formulas, ``ln_term_scores``, ``ln_survival`` and ``_mrl``.
+``ln_term_scores`` states the family's log-likelihood row once: ln f(t)
+for an event or ln S(t) when censored, with the row's location score and,
+for the gamma-power core, its partial along the shape k; fitting sums
+them.  ``ln_pdf`` is its event term, and ``pdf`` and ``survival`` are the
+exponentials of ``ln_pdf`` and ``ln_survival``.  The mean residual
 life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space;
 ``mrl`` takes ln S(x) once and hands it to ``_mrl`` as the denominator.
 The exponential is the Gompertz at shape 0 and takes its formulas.  Beyond
@@ -81,7 +81,7 @@ def _softplus(y):
 
 
 def _ln_pdf_limit(t, power, ln_coef):
-    """ln_pdf where its formula meets inf - inf: -inf at t = inf, where every
+    """ln f where its formula meets inf - inf: -inf at t = inf, where every
     density vanishes, and at t = 0 the limit of coef * t**power."""
     if t == 0.0:
         return -_INF if power > 0.0 else _INF if power < 0.0 else ln_coef
@@ -134,30 +134,24 @@ class Distribution:
         raise NotImplementedError
 
     def ln_pdf(self, t):
-        raise NotImplementedError
-
-    def ln_pdf_slope(self, t):
-        """d ln f / d ln t at t > 0."""
-        raise NotImplementedError
+        """ln f(t): the event term of ``ln_term_scores``."""
+        return self.ln_term_scores(t, 1.0)[0]
 
     def ln_term_scores(self, t, event):
         """One row's log-likelihood term, its location score and its shape
-        score, for fitting.
+        score: the one place a family states ln f.
 
-        The term is ln f(t) for an event and ln S(t) when censored, with the
-        bits of ``ln_pdf`` and ``ln_survival``.  The location score is its
-        partial with respect to ln s, where the family is a law of t/s: s is
-        scale, exp(mu), exp(meanlog) or 1/rate.  That is
-        -(1 + d ln f/d ln t) for an event and, when censored,
-        t h(t) = exp(ln f + ln t - ln S), the slope of the cumulative hazard
-        in ln t (Kalbfleisch & Prentice 2002, ch. 3).  The shape score is
-        the partial along the gamma shape k plus psi(k) for the gamma-power
-        families that fit k (see ``_GammaPower``), and 0 for the rest.
+        The term is ln f(t) for an event, which ``ln_pdf`` reads off, and
+        ln S(t), with the bits of ``ln_survival``, when censored.  The
+        location score is its partial with respect to ln s, where the
+        family is a law of t/s: s is scale, exp(mu), exp(meanlog) or
+        1/rate.  That is -(1 + d ln f/d ln t) for an event and, censored,
+        t h(t) = exp(ln f + ln t - ln S), the slope of the cumulative
+        hazard in ln t (Kalbfleisch & Prentice 2002, ch. 3).  The shape
+        score is the gamma-power core's partial along k plus psi(k) (see
+        ``_GammaPower``), and 0 for the other families.
         """
-        if event:
-            return self.ln_pdf(t), -1.0 - self.ln_pdf_slope(t), 0.0
-        ln_s = self.ln_survival(t)
-        return ln_s, _exp(self.ln_pdf(t) + math.log(t) - ln_s), 0.0
+        raise NotImplementedError
 
     # -- quantiles -------------------------------------------------------
 
@@ -260,21 +254,6 @@ class _GammaPower(Distribution):
         self._ln_gamma_k = sf.ln_gamma(k)
         self._ln_pdf_lead = math.log(abs(b)) - self._ln_gamma_k
 
-    def ln_pdf(self, t):
-        ln_t = _log(t)
-        ln_z = self._b * (ln_t - self._ln_scale)
-        ln_f = self._ln_pdf_lead - ln_t + self._k * ln_z - _exp(ln_z)
-        if ln_f != ln_f:
-            # pdf ~ t**(kb - 1) at 0 for b > 0; exp(-z) wins for b < 0
-            kb = self._k * self._b
-            return _ln_pdf_limit(t, kb - 1.0 if self._b > 0.0 else _INF,
-                                 self._ln_pdf_lead - kb * self._ln_scale)
-        return ln_f
-
-    def ln_pdf_slope(self, t):
-        z = _exp(self._b * (_log(t) - self._ln_scale))
-        return -1.0 + self._b * (self._k - z)
-
     def ln_term_scores(self, t, event):
         # one ln z and at most one kernel call give all three.  With
         # ln f = ln|b| - ln Gamma(k) - ln t + k ln z - z, the shape score
@@ -287,7 +266,10 @@ class _GammaPower(Distribution):
         if event:
             ln_f = self._ln_pdf_lead - ln_t + self._k * ln_z - z
             if ln_f != ln_f:
-                ln_f = self.ln_pdf(t)
+                # pdf ~ t**(kb - 1) at 0 for b > 0; exp(-z) wins for b < 0
+                kb = self._k * self._b
+                ln_f = _ln_pdf_limit(t, kb - 1.0 if self._b > 0.0 else _INF,
+                                     self._ln_pdf_lead - kb * self._ln_scale)
             return ln_f, -self._b * (self._k - z), ln_z
         if self._b > 0.0:
             ln_inc, d_k = sf.ln_upper_inc_gamma_da(z, self._k)
@@ -336,20 +318,23 @@ class _BetaPrimePower(Distribution):
         self._ln_beta = sf.ln_beta(s1, s2)
         self._ln_pdf_lead = -math.log(sigma) - self._ln_beta
 
-    def ln_pdf(self, t):
+    def ln_term_scores(self, t, event):
+        # one ln u gives ln f and d ln f/d ln t; a censored row takes
+        # ln_survival, so llogis keeps its closed form
         ln_t = _log(t)
         ln_u = self._ln_u0 + ln_t / self._sigma
         ln_f = (self._ln_pdf_lead - ln_t + self._s1 * ln_u
                 - (self._s1 + self._s2) * _softplus(ln_u))
         if ln_f != ln_f:
             # pdf ~ t**(s1/sigma - 1) at 0
-            return _ln_pdf_limit(t, self._s1 / self._sigma - 1.0,
+            ln_f = _ln_pdf_limit(t, self._s1 / self._sigma - 1.0,
                                  self._ln_pdf_lead + self._s1 * self._ln_u0)
-        return ln_f
-
-    def ln_pdf_slope(self, t):
-        share = 1.0 / (1.0 + _exp(-self._ln_u0 - _log(t) / self._sigma))  # u/(1+u)
-        return -1.0 + (self._s1 - (self._s1 + self._s2) * share) / self._sigma
+        if event:
+            share = 1.0 / (1.0 + _exp(-ln_u))  # u/(1+u)
+            slope = -1.0 + (self._s1 - (self._s1 + self._s2) * share) / self._sigma
+            return ln_f, -1.0 - slope, 0.0
+        ln_s = self.ln_survival(t)
+        return ln_s, _exp(ln_f + ln_t - ln_s), 0.0
 
     def ln_survival(self, t):
         u = _exp(self._ln_u0 + _log(t) / self._sigma)
@@ -382,11 +367,15 @@ class Weibull(_GammaPower):
         super().__init__(math.log(scale), 1.0, shape)
 
     def ln_survival(self, t):
-        # z as ln_pdf and _mrl take it, so mrl's tail over S(x) shares its rounding
+        # the z of the row term and _mrl, so mrl's tail over S(x) shares its rounding
         return -_exp(self._b * (_log(t) - self._ln_scale))
 
-    # k is fixed at 1, and S(t) = exp(-z) needs no kernel
-    ln_term_scores = Distribution.ln_term_scores
+    def ln_term_scores(self, t, event):
+        if event:
+            return super().ln_term_scores(t, event)
+        # k is fixed at 1: S(t) = exp(-z) needs no kernel, and t h(t) = b z
+        z = _exp(self._b * (_log(t) - self._ln_scale))
+        return -z, self._b * z, 0.0
 
     def _isf_from_ln(self, ln_s):
         return self.scale * (-ln_s) ** (1.0 / self.shape)
@@ -415,14 +404,10 @@ class Gompertz(Distribution):
         self.rate = rate
         self._ln_rate = math.log(rate)
 
-    def ln_pdf(self, t):
-        ln_f = self._ln_rate + self.shape * t + self.ln_survival(t)
-        return ln_f if ln_f == ln_f else _ln_pdf_limit(t, 0.0, self._ln_rate)
-
     def ln_term_scores(self, t, event):
         # proportional hazards in rate: d ln S/d ln rate = ln S and
         # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign.  One ln S
-        # serves both; ln f is ln_pdf's formula on it
+        # serves both, and ln f = ln rate + shape t + ln S
         ln_s = self.ln_survival(t)
         if event:
             ln_f = self._ln_rate + self.shape * t + ln_s
@@ -478,22 +463,22 @@ class LogNormal(Distribution):
         self.sdlog = sdlog
         self._ln_sdlog = math.log(sdlog)
 
-    def _w(self, t):
-        return (_log(t) - self.meanlog) / self.sdlog
-
-    def ln_pdf(self, t):
-        w = self._w(t)
-        if w == -_INF:
-            return -_INF
-        return -_log(t) - self._ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w
-
-    def ln_pdf_slope(self, t):
-        return -1.0 - self._w(t) / self.sdlog
+    def ln_term_scores(self, t, event):
+        # one w = (ln t - meanlog)/sdlog gives the term and, for an event,
+        # the location score w/sdlog, formed as -(1 + d ln f/d ln t)
+        ln_t = _log(t)
+        w = (ln_t - self.meanlog) / self.sdlog
+        ln_f = (-_INF if w == -_INF
+                else -ln_t - self._ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w)
+        if event:
+            return ln_f, -1.0 - (-1.0 - w / self.sdlog), 0.0
+        ln_s = self.ln_survival(t)
+        return ln_s, _exp(ln_f + ln_t - ln_s), 0.0
 
     def ln_survival(self, t):
         if t <= 0.0:
             return 0.0
-        return sf.ln_std_normal_sf(self._w(t))
+        return sf.ln_std_normal_sf((_log(t) - self.meanlog) / self.sdlog)
 
     def _isf_from_ln(self, ln_s):
         # Phi^-1 of whichever of S and 1 - S is below 1/2

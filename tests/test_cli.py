@@ -106,6 +106,13 @@ class TestParseValues:
         assert "bad --values/--range" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("spec", ["", ",", " , "])
+    def test_empty_list_exit_2(self, spec):
+        res = run(["residlife", "--values", spec, *WEIBULL_ARGS])
+        assert res.exit_code == 2
+        assert "no lifetimes given" in res.output
+        assert "Traceback" not in res.output
+
     def test_range_is_capped(self):
         import click
         assert len(parse_values(f"1:{MAX_VALUES}:1")) == MAX_VALUES
@@ -375,6 +382,28 @@ class TestFitCommand:
         assert res.exit_code == 0
         assert "est" in res.output and "L95" in res.output
         assert "loglik:" in res.output
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_convergence_exits_0(self, monkeypatch, weibull_csv, fmt):
+        # a search that stops short is reported in the output, not as an error
+        from dataclasses import replace
+        from mrlife import cli
+        real = cli.fit_mle
+
+        def stopped_short(*args):
+            result, model = real(*args)
+            return replace(result, converged=False), model
+
+        monkeypatch.setattr(cli, "fit_mle", stopped_short)
+        res = run(["fit", "--data", str(weibull_csv), "--time", "t",
+                   "--event", "status", "--dist", "weibull", "--format", fmt])
+        assert res.exit_code == 0
+        if fmt == "json":
+            doc = json.loads(res.output)
+            jsonschema.validate(doc, FIT_JSON_SCHEMA)
+            assert doc["converged"] is False
+        else:
+            assert "converged: False" in res.output
 
     def test_all_censored_is_an_error(self, tmp_path):
         path = tmp_path / "cens.csv"

@@ -697,6 +697,11 @@ def _beta_prime_power_terms(t, mu, sigma, s1, s2):
 def _uncached_terms(d, t):
     """(ln_pdf, ln_survival) from the formulas without cached constants."""
     tag = d.tag
+    if tag == "exponential":
+        return math.log(d.rate) - d.rate * t, -d.rate * t
+    if tag == "weibull":
+        ln_pdf, _ = _gamma_power_terms(t, math.log(d.scale), 1.0, d.shape)
+        return ln_pdf, -_exp(d.shape * (_log(t) - math.log(d.scale)))
     if tag == "gamma":
         return _gamma_power_terms(t, -math.log(d.rate), d.shape, 1.0)
     if tag == "gompertz":
@@ -720,9 +725,11 @@ def _uncached_terms(d, t):
     raise KeyError(tag)
 
 
-@pytest.mark.parametrize("tag", _LOOP_TAGS)
+@pytest.mark.parametrize("tag", _ALL_TAGS)
 def test_cached_constants_give_the_same_bits(tag):
-    rng = np.random.default_rng(_LOOP_TAGS.index(tag) + 61)
+    # ln_pdf is read off ln_term_scores, so this pins every family's row
+    # term to a formula written out here
+    rng = np.random.default_rng(_ALL_TAGS.index(tag) + 61)
     for _ in range(20):
         d = make_distribution(tag, sample_params(tag, rng))
         for t in (1e-3, 0.05, 0.5, 1.0, 2.5, 10.0, 60.0):
@@ -735,7 +742,7 @@ def test_cached_constants_give_the_same_bits(tag):
 def test_row_term_has_the_bits_of_ln_pdf_and_ln_survival(kernel_modules, tag,
                                                          monkeypatch):
     # every likelihood pass, censored_loglik's too, sums ln_term_scores:
-    # its terms are ln_pdf and ln_survival
+    # ln_pdf reads its event terms off it, and its censored terms are ln_survival
     rng = np.random.default_rng(DISTRIBUTION_TAGS.index(tag) + 131)
     dists = [make_distribution(tag, sample_params(tag, rng)) for _ in range(20)]
     for kernels in kernel_modules:
