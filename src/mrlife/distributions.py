@@ -16,12 +16,14 @@ package and the CLI::
 
 Every distribution object exposes ``pdf``, ``cdf``, ``survival``,
 ``ln_survival``, ``quantile``, ``isf``, ``mean`` and ``mrl``.  Each family
-defines three formulas, ``ln_term_scores``, ``ln_survival`` and ``_mrl``.
-``ln_term_scores`` states the family's log-likelihood row once: ln f(t)
-for an event or ln S(t) when censored, with the row's location score and,
-for the gamma-power core, its partial along the shape k; fitting sums
-them.  ``ln_pdf`` is its event term, and ``pdf`` and ``survival`` are the
-exponentials of ``ln_pdf`` and ``ln_survival``.  The mean residual
+defines three formulas, ``ln_group_scores``, ``ln_survival`` and ``_mrl``.
+``ln_group_scores`` states the family's log-likelihood row once and scores
+every row of one distribution in one call: ln f(t) for an event or ln S(t)
+when censored, and the sums fitting needs of the rows' location scores,
+their curvatures and, for the gamma-power core, their partials along the
+shape k.  ``ln_term_scores`` is its one-row view and ``ln_pdf`` the event
+term of that, and ``pdf`` and ``survival`` are the exponentials of
+``ln_pdf`` and ``ln_survival``.  The mean residual
 life ``mrl(x)`` is the closed form E[T; T > x]/S(x) - x, in log space;
 ``mrl`` takes ln S(x) once and hands it to ``_mrl`` as the denominator.
 The exponential is the Gompertz at shape 0 and takes its formulas.  Beyond
@@ -139,16 +141,27 @@ class Distribution:
 
     def ln_term_scores(self, t, event):
         """One row's log-likelihood term, its location score and its shape
-        score: the one place a family states ln f.
+        score: the one-row view of ``ln_group_scores``."""
+        terms, sums = self.ln_group_scores((t,), (_log(t),), (event,))
+        return terms[0], sums[0], sums[2]
 
-        The term is ln f(t) for an event, which ``ln_pdf`` reads off, and
-        ln S(t), with the bits of ``ln_survival``, when censored.  The
-        location score is its partial with respect to ln s, where the
-        family is a law of t/s: s is scale, exp(mu), exp(meanlog) or
-        1/rate.  That is -(1 + d ln f/d ln t) for an event and, censored,
-        t h(t) = exp(ln f + ln t - ln S), the slope of the cumulative
-        hazard in ln t (Kalbfleisch & Prentice 2002, ch. 3).  The shape
-        score is the gamma-power core's partial along k plus psi(k) (see
+    def ln_group_scores(self, times, ln_times, events):
+        """The log-likelihood terms of rows drawn from this distribution,
+        and sums of their scores: the one place a family states ln f.
+
+        ``ln_times`` holds ln t of each of ``times``.  Returns
+        ``(terms, sums)``.  A term is ln f(t) for an event, which ``ln_pdf``
+        reads off, and ln S(t), with the bits of ``ln_survival``, when
+        censored.  ``sums`` is the six sums over the rows of s, ln t * s,
+        the shape score, c, ln t * c and (ln t)**2 * c, each taken in row
+        order.  The location score s is a term's partial with respect to
+        ln s, where the family is a law of t/s: s is scale, exp(mu),
+        exp(meanlog) or 1/rate.  That is -(1 + d ln f/d ln t) for an
+        event and, censored, t h(t) = exp(ln f + ln t - ln S), the slope of
+        the cumulative hazard in ln t (Kalbfleisch & Prentice 2002, ch. 3).
+        Its curvature c is ds/d ln s; a censored row's is s (s_e - s), s_e
+        being the event score at the same t.  The shape score is the
+        gamma-power core's partial along k plus psi(k) (see
         ``_GammaPower``), and 0 for the other families.
         """
         raise NotImplementedError
@@ -247,6 +260,8 @@ class _GammaPower(Distribution):
     costs more than the density itself.
     """
 
+    _closed_survival = False  # S(t) = exp(-z) at k = 1 (the weibull)
+
     def __init__(self, ln_scale, k, b):
         self._ln_scale = ln_scale
         self._k = k
@@ -254,29 +269,46 @@ class _GammaPower(Distribution):
         self._ln_gamma_k = sf.ln_gamma(k)
         self._ln_pdf_lead = math.log(abs(b)) - self._ln_gamma_k
 
-    def ln_term_scores(self, t, event):
-        # one ln z and at most one kernel call give all three.  With
+    def ln_group_scores(self, times, ln_times, events):
+        # one ln z and at most one kernel call per row.  With
         # ln f = ln|b| - ln Gamma(k) - ln t + k ln z - z, the shape score
         # (the partial along k plus psi(k)) is ln z for an event and the
         # kernel's partial along its shape when censored; the location
-        # score is -b (k - z), or t h(t) when censored
-        ln_t = _log(t)
-        ln_z = self._b * (ln_t - self._ln_scale)
-        z = _exp(ln_z)
-        if event:
-            ln_f = self._ln_pdf_lead - ln_t + self._k * ln_z - z
-            if ln_f != ln_f:
-                # pdf ~ t**(kb - 1) at 0 for b > 0; exp(-z) wins for b < 0
-                kb = self._k * self._b
-                ln_f = _ln_pdf_limit(t, kb - 1.0 if self._b > 0.0 else _INF,
-                                     self._ln_pdf_lead - kb * self._ln_scale)
-            return ln_f, -self._b * (self._k - z), ln_z
-        if self._b > 0.0:
-            ln_inc, d_k = sf.ln_upper_inc_gamma_da(z, self._k)
-        else:
-            ln_inc, d_k = sf.ln_lower_inc_gamma_da(z, self._k)
-        ln_s = ln_inc - self._ln_gamma_k
-        return ln_s, _exp(self._ln_pdf_lead + self._k * ln_z - z - ln_s), d_k
+        # score is -b (k - z), with curvature -b**2 z, or t h(t) when
+        # censored
+        b, k, ln_scale, lead = self._b, self._k, self._ln_scale, self._ln_pdf_lead
+        ln_gamma_k, closed = self._ln_gamma_k, self._closed_survival
+        terms = []
+        s_sum = s_ln_t = k_sum = c_sum = c_ln_t = c_ln_t2 = 0.0
+        for t, ln_t, event in zip(times, ln_times, events):
+            ln_z = b * (ln_t - ln_scale)
+            z = _exp(ln_z)
+            s_e = -b * (k - z)
+            if event:
+                term = lead - ln_t + k * ln_z - z
+                if term != term:
+                    # pdf ~ t**(kb - 1) at 0 for b > 0; exp(-z) wins for b < 0
+                    term = _ln_pdf_limit(t, k * b - 1.0 if b > 0.0 else _INF,
+                                         lead - k * b * ln_scale)
+                s, k_score, c = s_e, ln_z, -b * b * z
+            elif closed:  # t h(t) = b z, and s (s_e - s) = -b**2 z
+                term, s, k_score, c = -z, b * z, 0.0, -b * b * z
+            else:
+                if b > 0.0:
+                    ln_inc, k_score = sf.ln_upper_inc_gamma_da(z, k)
+                else:
+                    ln_inc, k_score = sf.ln_lower_inc_gamma_da(z, k)
+                term = ln_inc - ln_gamma_k
+                s = _exp(lead + k * ln_z - z - term)
+                c = s * (s_e - s)
+            terms.append(term)
+            s_sum += s
+            s_ln_t += ln_t * s
+            k_sum += k_score
+            c_sum += c
+            c_ln_t += ln_t * c
+            c_ln_t2 += ln_t * ln_t * c
+        return terms, (s_sum, s_ln_t, k_sum, c_sum, c_ln_t, c_ln_t2)
 
     def ln_survival(self, t):
         z = _exp(self._b * (_log(t) - self._ln_scale))
@@ -318,23 +350,39 @@ class _BetaPrimePower(Distribution):
         self._ln_beta = sf.ln_beta(s1, s2)
         self._ln_pdf_lead = -math.log(sigma) - self._ln_beta
 
-    def ln_term_scores(self, t, event):
-        # one ln u gives ln f and d ln f/d ln t; a censored row takes
+    def ln_group_scores(self, times, ln_times, events):
+        # one ln u gives ln f, d ln f/d ln t and the event score's curvature
+        # -(s1 + s2) share (1 - share)/sigma**2; a censored row takes
         # ln_survival, so llogis keeps its closed form
-        ln_t = _log(t)
-        ln_u = self._ln_u0 + ln_t / self._sigma
-        ln_f = (self._ln_pdf_lead - ln_t + self._s1 * ln_u
-                - (self._s1 + self._s2) * _softplus(ln_u))
-        if ln_f != ln_f:
-            # pdf ~ t**(s1/sigma - 1) at 0
-            ln_f = _ln_pdf_limit(t, self._s1 / self._sigma - 1.0,
-                                 self._ln_pdf_lead + self._s1 * self._ln_u0)
-        if event:
-            share = 1.0 / (1.0 + _exp(-ln_u))  # u/(1+u)
-            slope = -1.0 + (self._s1 - (self._s1 + self._s2) * share) / self._sigma
-            return ln_f, -1.0 - slope, 0.0
-        ln_s = self.ln_survival(t)
-        return ln_s, _exp(ln_f + ln_t - ln_s), 0.0
+        ln_u0, sigma, s1, lead = self._ln_u0, self._sigma, self._s1, self._ln_pdf_lead
+        s12 = s1 + self._s2
+        c_lead = -s12 / (sigma * sigma)
+        ln_survival = self.ln_survival
+        terms = []
+        s_sum = s_ln_t = c_sum = c_ln_t = c_ln_t2 = 0.0
+        for t, ln_t, event in zip(times, ln_times, events):
+            ln_u = ln_u0 + ln_t / sigma
+            ln_f = lead - ln_t + s1 * ln_u - s12 * _softplus(ln_u)
+            if ln_f != ln_f:
+                # pdf ~ t**(s1/sigma - 1) at 0
+                ln_f = _ln_pdf_limit(t, s1 / sigma - 1.0, lead + s1 * ln_u0)
+            u_inv = _exp(-ln_u)
+            share = 1.0 / (1.0 + u_inv)  # u/(1+u); 1 - share is u_inv share
+            s_e = -1.0 - (-1.0 + (s1 - s12 * share) / sigma)
+            if event:
+                term, s = ln_f, s_e
+                c = c_lead * share * (1.0 - share if share < 0.5 else u_inv * share)
+            else:
+                term = ln_survival(t)
+                s = _exp(ln_f + ln_t - term)
+                c = s * (s_e - s)
+            terms.append(term)
+            s_sum += s
+            s_ln_t += ln_t * s
+            c_sum += c
+            c_ln_t += ln_t * c
+            c_ln_t2 += ln_t * ln_t * c
+        return terms, (s_sum, s_ln_t, 0.0, c_sum, c_ln_t, c_ln_t2)
 
     def ln_survival(self, t):
         u = _exp(self._ln_u0 + _log(t) / self._sigma)
@@ -366,16 +414,11 @@ class Weibull(_GammaPower):
         self.scale = scale
         super().__init__(math.log(scale), 1.0, shape)
 
+    _closed_survival = True  # k is fixed at 1: S(t) = exp(-z) needs no kernel
+
     def ln_survival(self, t):
         # the z of the row term and _mrl, so mrl's tail over S(x) shares its rounding
         return -_exp(self._b * (_log(t) - self._ln_scale))
-
-    def ln_term_scores(self, t, event):
-        if event:
-            return super().ln_term_scores(t, event)
-        # k is fixed at 1: S(t) = exp(-z) needs no kernel, and t h(t) = b z
-        z = _exp(self._b * (_log(t) - self._ln_scale))
-        return -z, self._b * z, 0.0
 
     def _isf_from_ln(self, ln_s):
         return self.scale * (-ln_s) ** (1.0 / self.shape)
@@ -404,17 +447,30 @@ class Gompertz(Distribution):
         self.rate = rate
         self._ln_rate = math.log(rate)
 
-    def ln_term_scores(self, t, event):
+    def ln_group_scores(self, times, ln_times, events):
         # proportional hazards in rate: d ln S/d ln rate = ln S and
-        # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign.  One ln S
-        # serves both, and ln f = ln rate + shape t + ln S
-        ln_s = self.ln_survival(t)
-        if event:
-            ln_f = self._ln_rate + self.shape * t + ln_s
-            if ln_f != ln_f:
-                ln_f = _ln_pdf_limit(t, 0.0, self._ln_rate)
-            return ln_f, -1.0 - ln_s, 0.0
-        return ln_s, -ln_s, 0.0
+        # d ln f/d ln rate = 1 + ln S; s = 1/rate turns the sign, and ln S
+        # is the curvature of both.  One ln S serves all, and
+        # ln f = ln rate + shape t + ln S
+        ln_survival, ln_rate, shape = self.ln_survival, self._ln_rate, self.shape
+        terms = []
+        s_sum = s_ln_t = c_sum = c_ln_t = c_ln_t2 = 0.0
+        for t, ln_t, event in zip(times, ln_times, events):
+            c = ln_survival(t)
+            if event:
+                term = ln_rate + shape * t + c
+                if term != term:
+                    term = _ln_pdf_limit(t, 0.0, ln_rate)
+                s = -1.0 - c
+            else:
+                term, s = c, -c
+            terms.append(term)
+            s_sum += s
+            s_ln_t += ln_t * s
+            c_sum += c
+            c_ln_t += ln_t * c
+            c_ln_t2 += ln_t * ln_t * c
+        return terms, (s_sum, s_ln_t, 0.0, c_sum, c_ln_t, c_ln_t2)
 
     def ln_survival(self, t):
         if self.shape == 0.0:
@@ -463,17 +519,33 @@ class LogNormal(Distribution):
         self.sdlog = sdlog
         self._ln_sdlog = math.log(sdlog)
 
-    def ln_term_scores(self, t, event):
+    def ln_group_scores(self, times, ln_times, events):
         # one w = (ln t - meanlog)/sdlog gives the term and, for an event,
-        # the location score w/sdlog, formed as -(1 + d ln f/d ln t)
-        ln_t = _log(t)
-        w = (ln_t - self.meanlog) / self.sdlog
-        ln_f = (-_INF if w == -_INF
-                else -ln_t - self._ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w)
-        if event:
-            return ln_f, -1.0 - (-1.0 - w / self.sdlog), 0.0
-        ln_s = self.ln_survival(t)
-        return ln_s, _exp(ln_f + ln_t - ln_s), 0.0
+        # the location score w/sdlog, formed as -(1 + d ln f/d ln t), with
+        # curvature -1/sdlog**2
+        meanlog, sdlog, ln_sdlog = self.meanlog, self.sdlog, self._ln_sdlog
+        c_event = -1.0 / (sdlog * sdlog)
+        ln_survival = self.ln_survival
+        terms = []
+        s_sum = s_ln_t = c_sum = c_ln_t = c_ln_t2 = 0.0
+        for t, ln_t, event in zip(times, ln_times, events):
+            w = (ln_t - meanlog) / sdlog
+            ln_f = (-_INF if w == -_INF
+                    else -ln_t - ln_sdlog - 0.5 * _LN_2PI - 0.5 * w * w)
+            s_e = -1.0 - (-1.0 - w / sdlog)
+            if event:
+                term, s, c = ln_f, s_e, c_event
+            else:
+                term = ln_survival(t)
+                s = _exp(ln_f + ln_t - term)
+                c = s * (s_e - s)
+            terms.append(term)
+            s_sum += s
+            s_ln_t += ln_t * s
+            c_sum += c
+            c_ln_t += ln_t * c
+            c_ln_t2 += ln_t * ln_t * c
+        return terms, (s_sum, s_ln_t, 0.0, c_sum, c_ln_t, c_ln_t2)
 
     def ln_survival(self, t):
         if t <= 0.0:

@@ -7,17 +7,19 @@ search, and a stop on the predicted decrease, all on Python lists, so
 fitting needs no array library.
 
 One likelihood loop, ``_loglik``, serves ``censored_loglik`` and ``fit``.
-It takes each row's term, with the bits of ``ln_pdf`` or ``ln_survival``,
-its location score s and its shape score from
-``Distribution.ln_term_scores``, and sums s, ln t * s and the shape
-scores per distinct design row, one distribution each.  From one pass,
-``fit``'s ``score`` gives the objective and its partials: along the
-intercept and the betas from the sums of s, the betas weighting them by
-the design values; along ln sigma for the log-location-scale families of
-``LOG_SCALE_PARAMS``, where W = (ln T - eta)/sigma has a law free of eta
-and sigma, as d ln f/d ln sigma = (ln t - eta) s - 1 for an event and
-(ln t - eta) s when censored (Kalbfleisch & Prentice 2002, ch. 3; Lawless
-2003, ch. 6); and along the shape k of the gamma-power families of
+It makes one ``Distribution.ln_group_scores`` call per distinct design
+row, one distribution each, for all of that row's observations: the
+rows' terms, with the bits of ``ln_pdf`` or ``ln_survival``, which it adds
+in row order, and per group the sums of the location score s, ln t * s,
+the shape scores and the location curvature c = ds/d ln s weighted by 1,
+ln t and (ln t)**2.  From one pass, ``fit``'s ``score`` gives the
+objective and its partials: along the intercept and the betas from the
+sums of s, the betas weighting them by the design values; along ln sigma
+for the log-location-scale families of ``LOG_SCALE_PARAMS``, where
+W = (ln T - eta)/sigma has a law free of eta and sigma, as
+d ln f/d ln sigma = (ln t - eta) s - 1 for an event and (ln t - eta) s
+when censored (Kalbfleisch & Prentice 2002, ch. 3; Lawless 2003, ch. 6);
+and along the shape k of the gamma-power families of
 ``GAMMA_SHAPE_PARAMS``, T = scale * G**(1/b) with G ~ Gamma(k), whose row
 terms move with k by the shape score less psi(k), psi(k) taken once per
 pass (gengamma's Q also moves ln z and ln|b|).
@@ -30,9 +32,13 @@ shape, genf's P and Q and genf.orig's s1 and s2 have no closed-form
 partial and take central differences of the objective.  Standard errors
 come from the inverse of the Hessian at the optimum, through its Cholesky
 factor, mapped back to the natural scale by the delta method; a Hessian
-that is not positive definite gives NaN for every standard error.  95%
-intervals are est*exp(+-1.96*se) for log-scale parameters and
-est +- 1.96*se otherwise.
+that is not positive definite gives NaN for every standard error.  Its
+entries among the intercept, ln sigma and the betas are closed forms in
+the curvature sums of the pass at the optimum, which the search's last
+accepted pass usually is (with v = ln t - eta: the sums of c, of
+v c - s and of v (v c - s)); only the shape coordinates take central
+differences, two passes each.  95% intervals are est*exp(+-1.96*se) for
+log-scale parameters and est +- 1.96*se otherwise.
 """
 import math
 import numbers
@@ -43,7 +49,8 @@ from . import specfun as sf
 from .distributions import (DISTRIBUTION_TAGS, Distribution, PARAM_NAMES,
                             POSITIVE_PARAMS, _exp)
 from .regression import (Covariate, CovariateSchema, LOCATION_PARAMS,
-                         SurvivalModel, distinct_design_rows, rows_of)
+                         SurvivalModel, TrainingRows, distinct_design_rows,
+                         rows_of)
 
 _BIG = 1e12
 _Z95 = 1.96
@@ -120,29 +127,41 @@ class FitResult:
     evaluations: int  # likelihood passes of the optimizer and the Hessian
 
 
-def _loglik(dists, groups, sample, ln_times):
-    """Censored log likelihood with row i drawn from ``dists[groups[i]]``,
-    and its score sums: ``censored_loglik`` and ``fit``'s score both call
-    it.  Each row's term and scores come from ``ln_term_scores``, whose
-    terms have the bits of ``ln_pdf`` and ``ln_survival``; the terms are
-    summed in row order.  Returns ``(total, sums)``: ``sums`` holds three
-    lists of one entry per distribution, the sums over its rows of the
-    location score s, of ln t * s with ln t from ``ln_times`` (one per
-    row), and of the shape score.  ``(NaN, None)`` once the total is not
-    finite.
+def _rows_by_group(groups, n_groups, sample):
+    """``_loglik``'s view of a sample whose row i is drawn from
+    distribution ``groups[i]``: per group, the ``(times, ln_times,
+    events)`` of its rows, and for each row its place among the groups'
+    rows laid end to end."""
+    members = [[] for _ in range(n_groups)]
+    for i, group in enumerate(groups):
+        members[group].append(i)
+    ln_times = [math.log(t) for t in sample.time]
+    rows = [tuple(tuple(column[i] for i in m)
+                  for column in (sample.time, ln_times, sample.event))
+            for m in members]
+    place = [0] * len(groups)
+    for position, i in enumerate(i for m in members for i in m):
+        place[i] = position
+    return rows, place
+
+
+def _loglik(dists, rows, place):
+    """Censored log likelihood of the rows ``_rows_by_group`` gives, group g
+    drawn from ``dists[g]``, and its score sums: ``censored_loglik`` and
+    ``fit``'s score both call it.  One ``ln_group_scores`` call per
+    distribution gives its rows' terms, which have the bits of ``ln_pdf``
+    and ``ln_survival`` and are summed in row order, and its six score
+    sums.  Returns ``(total, sums)``, ``sums`` holding those six per
+    distribution, or ``(NaN, None)`` when the total is not finite.
     """
+    scored = [d.ln_group_scores(*group_rows) for d, group_rows in zip(dists, rows)]
+    terms = [term for group_terms, _ in scored for term in group_terms]
     total = 0.0
-    sums = tuple([0.0] * len(dists) for _ in range(3))
-    by_group, by_group_ln_t, by_group_k = sums
-    for group, ti, ei, ln_t in zip(groups, sample.time, sample.event, ln_times):
-        term, score, k_score = dists[group].ln_term_scores(ti, ei)
-        total += term
-        if not math.isfinite(total):
-            return math.nan, None
-        by_group[group] += score
-        by_group_ln_t[group] += ln_t * score
-        by_group_k[group] += k_score
-    return total, sums
+    for i in place:
+        total += terms[i]
+    if not math.isfinite(total):
+        return math.nan, None
+    return total, [sums for _, sums in scored]
 
 
 def censored_loglik(obj, sample: CensoredSample) -> float:
@@ -163,7 +182,7 @@ def censored_loglik(obj, sample: CensoredSample) -> float:
         dists = [obj.resolve_parameters(d) for d in designs]
     else:
         raise TypeError("expected a Distribution or SurvivalModel")
-    return _loglik(dists, groups, sample, [math.log(t) for t in sample.time])[0]
+    return _loglik(dists, *_rows_by_group(groups, len(dists), sample))[0]
 
 
 def infer_schema(columns: Dict[str, list], names: Sequence[str]) -> CovariateSchema:
@@ -211,7 +230,7 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
     design_cols = schema.column_names
     rows = rows_of(sample.covariates or {}, list(covariates), len(sample))
     designs, groups = distinct_design_rows(schema, rows)
-    training_rows = tuple(rows) if covariates else None
+    training_rows = TrainingRows(rows) if covariates else None
 
     # positive parameters live on the log scale in theta; the betas never do
     on_log = ([name in POSITIVE_PARAMS[dist] for name in param_names]
@@ -235,10 +254,8 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
                 + ([param_names.index(log_scale[0])] if log_scale else [])
                 + ([shape_index] if shape else [])
                 + list(range(n_params, len(theta0))))
-    ln_times = [math.log(t) for t in sample.time]
-    events = [0.0] * len(designs)  # per group
-    for group, ei in zip(groups, sample.event):
-        events[group] += ei
+    rows_by_group, place = _rows_by_group(groups, len(designs), sample)
+    events = [sum(group_events) for _, _, group_events in rows_by_group]
 
     def model_at(theta):
         baseline = {name: math.exp(value) if log else value
@@ -247,7 +264,17 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         coefficients = tuple([theta[loc_index]] + theta[n_params:])
         return SurvivalModel(dist, baseline, coefficients, schema, training_rows)
 
+    def etas_at(theta):
+        etas = []
+        for design in designs:
+            eta = theta[loc_index]
+            for beta, x in zip(theta[n_params:], design):
+                eta += beta * x
+            etas.append(eta)
+        return etas
+
     passes = 0
+    latest = [None, None]  # theta and per-group score sums of the latest pass
 
     def score(theta):
         """The objective, -loglik or ``_BIG`` where that is not finite, at
@@ -256,26 +283,24 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
         nonlocal passes
         passes += 1
         theta = [float(v) for v in theta]
+        latest[:] = theta, None
         try:
             model = model_at(theta)
             value, sums = _loglik([model.resolve_parameters(d) for d in designs],
-                                  groups, sample, ln_times)
+                                  rows_by_group, place)
         except (ValueError, ArithmeticError):  # outside the domain or float range
             return _BIG, None
         if sums is None:
             return _BIG, None
-        by_group, by_group_ln_t, by_group_k = sums
+        latest[1] = sums
+        by_group, by_group_ln_t, by_group_k, *_ = zip(*sums)
         d_eta = [-eta_to_ln_s * s for s in by_group]  # of -loglik, per group
         out = [math.fsum(d_eta)]
         if log_scale is not None:
             # sum over a group's rows of (ln t - eta) s - event
-            d_ln_sigma = []
-            for design, s, s_ln_t, e in zip(designs, by_group, by_group_ln_t, events):
-                eta = theta[loc_index]
-                for beta, x in zip(theta[n_params:], design):
-                    eta += beta * x
-                d_ln_sigma.append(s_ln_t - eta * s - e)
-            d_ln_sigma = math.fsum(d_ln_sigma)
+            d_ln_sigma = math.fsum(
+                s_ln_t - eta * s - e for eta, s, s_ln_t, e
+                in zip(etas_at(theta), by_group, by_group_ln_t, events))
             out.append(-log_scale[1] * d_ln_sigma)
         if shape is not None:
             # d loglik/dk: the rows' shape scores less psi(k) once per row
@@ -296,13 +321,47 @@ def fit(dist: str, sample: CensoredSample, covariates: Sequence[str] = ()):
                 for j in range(len(design_cols))]
         return -value, out if all(map(math.isfinite, out)) else None
 
+    def curvature(theta):
+        """The Hessian of the objective among the intercept, ln sigma and
+        the betas, in closed form from the latest pass's sums of the
+        location curvature c, or None unless that pass scored theta.
+        Per group, eta moves ln s by +-1, so d2/d eta2 is the sum of c;
+        with v = ln t - eta, d2/d eta d ln sigma is the sum of v c - s
+        and d2/d ln sigma2 that of v (v c - s), ln s being eta itself for
+        every family with a sigma (Kalbfleisch & Prentice 2002, ch. 3)."""
+        if latest[1] is None or latest[0] != list(theta):
+            return None
+        s, s_ln_t, _, c, c_ln_t, c_ln_t2 = zip(*latest[1])
+        # d eta/d theta of each group along the intercept and the betas
+        eta_coords = [loc_index] + list(range(n_params, len(theta)))
+        eta_units = [[1.0] + design for design in designs]
+        hess = {}
+        for a, i in enumerate(eta_coords):
+            for b, j in enumerate(eta_coords[:a + 1]):
+                hess[i, j] = hess[j, i] = -math.fsum(
+                    unit[a] * unit[b] * cg for unit, cg in zip(eta_units, c))
+        if log_scale is not None:
+            cross, own = [], []
+            for eta, sg, ls, cg, lc, llc in zip(etas_at(theta), s, s_ln_t, c,
+                                                c_ln_t, c_ln_t2):
+                v_c = lc - eta * cg
+                cross.append(v_c - sg)
+                own.append(llc - 2.0 * eta * lc + eta * eta * cg - (ls - eta * sg))
+            sigma_index = param_names.index(log_scale[0])
+            for a, i in enumerate(eta_coords):
+                hess[i, sigma_index] = hess[sigma_index, i] = -log_scale[1] * math.fsum(
+                    unit[a] * x for unit, x in zip(eta_units, cross))
+            hess[sigma_index, sigma_index] = -math.fsum(own)
+        return hess
+
     best = minimize(score, theta0, maxiter=5000, maxfev=10000, analytic=analytic)
     theta_hat = best.x
     # the search's last pass scored theta_hat: its value is the loglik
     final_loglik = -best.fun if best.fun < _BIG else math.nan
     converged = best.success and math.isfinite(final_loglik)
 
-    se_t = _hessian_std_errors(score, theta_hat, best.fun, analytic=analytic)
+    se_t = _hessian_std_errors(score, theta_hat, best.fun, analytic=analytic,
+                               curvature=curvature)
     names = list(param_names) + design_cols
     estimates, std_errors, ci95 = {}, {}, {}
     for i, name in enumerate(names):
@@ -462,18 +521,33 @@ def _dot(a, b):
     return sum(ai * bi for ai, bi in zip(a, b))
 
 
-def _hessian_std_errors(score, theta, f0, analytic=()):
+def _hessian_std_errors(score, theta, f0, analytic=(), curvature=None):
     """Delta-method standard errors from a Hessian H of the objective f that
     ``score`` gives with its partials (see ``minimize``): the square roots
-    of the diagonal of H^-1, through the Cholesky factor H = L L'.  The
-    rows of H along the ``analytic`` coordinates are central differences
-    of those partials, 2k calls in all; the rest of H takes central second
-    differences of f around ``f0``, its value at theta.  Every standard
-    error is NaN when H is not positive definite, since then no factor
-    exists and the optimum is no maximum of the likelihood, and when
-    ``score`` gives None for the partials near theta."""
+    of the diagonal of H^-1, through the Cholesky factor H = L L'.
+
+    ``curvature(theta)``, where given, returns the entries of H it has in
+    closed form, as a mapping from (i, j), both orders, to H_ij; or None
+    when it needs a call of ``score`` at theta first, which is then made
+    once.  H takes differences only along the other coordinates: along
+    each, 2 calls give its column in the rows along ``analytic``, as
+    central differences of those partials, and, where it is not analytic,
+    its diagonal entry as a central second difference of f around ``f0``,
+    its value at theta; two such non-analytic coordinates take 4 calls
+    more for their cross entry.  Every standard error is NaN when H is not
+    positive definite, since then no factor exists and the optimum is no
+    maximum of the likelihood, and when ``score`` gives None for the
+    partials near theta."""
     k = len(theta)
     h = [1e-4 * (1.0 + abs(v)) for v in theta]
+    known = {}
+    if curvature is not None:
+        known = curvature(theta)
+        if known is None:
+            score(list(theta))
+            known = curvature(theta)
+        if known is None:  # no finite pass at theta
+            return [math.nan] * k
 
     def moved(*moves):  # theta moved by sign * h[i] per (i, sign)
         point = list(theta)
@@ -484,30 +558,39 @@ def _hessian_std_errors(score, theta, f0, analytic=()):
     def at(*moves):
         return score(moved(*moves))[0]
 
-    # the rows of H along analytic; column j from the partials at theta -+ h_j
-    row_of = {i: [math.nan] * k for i in analytic}
-    for j in range(k if analytic else 0):
-        up, down = score(moved((j, 1.0)))[1], score(moved((j, -1.0)))[1]
-        if up is not None and down is not None:
-            for i, u, d in zip(analytic, up, down):
-                row_of[i][j] = (u - d) / (2.0 * h[j])
+    # along each coordinate j outside ``known``: f at theta -+ h_j and the
+    # rows along analytic of column j from the partials there
+    values, row_of = {}, {i: {} for i in analytic}
+    for j in range(k):
+        if (j, j) in known:
+            continue
+        (f_up, up), (f_down, down) = score(moved((j, 1.0))), score(moved((j, -1.0)))
+        values[j] = f_up, f_down
+        if up is None or down is None:
+            up = down = [math.nan] * len(analytic)
+        for i, u, d in zip(analytic, up, down):
+            row_of[i][j] = (u - d) / (2.0 * h[j])
+
+    def hess_at(i, j):
+        if (i, j) in known:
+            return known[i, j]
+        if j in row_of.get(i, ()):
+            return row_of[i][j]
+        if i in row_of.get(j, ()):
+            return row_of[j][i]
+        if i == j:
+            f_up, f_down = values[i]
+            return (f_up - 2.0 * f0 + f_down) / h[i] ** 2
+        return (at((j, 1.0), (i, 1.0)) - at((j, 1.0), (i, -1.0))
+                - at((j, -1.0), (i, 1.0)) + at((j, -1.0), (i, -1.0))
+                ) / (4.0 * h[j] * h[i])
 
     chol = []  # the rows of L, each found as soon as that row of H is
     for i in range(k):
         row = []
         for j in range(i):
-            if i in row_of or j in row_of:
-                hess_ij = row_of[i][j] if i in row_of else row_of[j][i]
-            else:
-                hess_ij = (at((j, 1.0), (i, 1.0)) - at((j, 1.0), (i, -1.0))
-                           - at((j, -1.0), (i, 1.0)) + at((j, -1.0), (i, -1.0))
-                           ) / (4.0 * h[j] * h[i])
-            row.append((hess_ij - _dot(row, chol[j])) / chol[j][j])
-        if i in row_of:
-            hess_ii = row_of[i][i]
-        else:
-            hess_ii = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
-        pivot = hess_ii - _dot(row, row)
+            row.append((hess_at(i, j) - _dot(row, chol[j])) / chol[j][j])
+        pivot = hess_at(i, i) - _dot(row, row)
         if not pivot > 0.0:  # not positive definite
             return [math.nan] * k
         row.append(math.sqrt(pivot))

@@ -15,6 +15,8 @@ import json
 import math
 import numbers
 import sys
+from array import array
+from collections import abc
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -152,19 +154,70 @@ def _shared_rows(rows) -> List[MappingProxyType]:
     return out
 
 
+class TrainingRows(abc.Sequence):
+    """A model's training rows: each distinct row once, and one code per
+    row into them, in an array of the narrowest unsigned type that holds
+    the codes.  A tuple takes 8 bytes a row; with up to 256 patterns this
+    takes one.  ``rows`` are mappings shared per distinct row, as
+    ``rows_of`` and ``_shared_rows`` give them."""
+
+    __slots__ = ("_distinct", "_codes")
+
+    def __init__(self, rows):
+        index, distinct, codes = {}, [], []
+        for row in rows:
+            code = index.get(id(row))
+            if code is None:
+                code = index[id(row)] = len(distinct)
+                distinct.append(row)
+            codes.append(code)
+        typecode = next(c for c in "BHIQ"
+                        if len(distinct) <= 1 << 8 * array(c).itemsize)
+        self._distinct = tuple(distinct)
+        self._codes = array(typecode, codes)
+
+    def __len__(self):
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._distinct.__getitem__, self._codes[i]))
+        return self._distinct[self._codes[i]]
+
+    def __iter__(self):
+        return map(self._distinct.__getitem__, self._codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TrainingRows({list(self)!r})"
+
+
 def distinct_design_rows(schema: CovariateSchema, rows):
     """(designs, group_of_row): the distinct design rows of ``rows`` in
     order of first appearance, and each row's index into them.  Every row
-    is encoded, so a bad one raises even when its pattern was seen."""
-    designs, group_of_row, index = [], [], {}
+    object is encoded, so a bad one raises even when its pattern was seen;
+    a read-only mapping, which ``rows_of`` gives one of per pattern, is
+    encoded once however often it comes."""
+    designs, group_of_row, index, read_only = [], [], {}, {}
     for row in rows:
-        design = schema.design_row(row)
-        key = tuple(design)
-        group = index.get(key)
-        if group is None:
-            group = index[key] = len(designs)
-            designs.append(design)
-        group_of_row.append(group)
+        seen = read_only.get(id(row))
+        if seen is None:
+            design = schema.design_row(row)
+            key = tuple(design)
+            group = index.get(key)
+            if group is None:
+                group = index[key] = len(designs)
+                designs.append(design)
+            seen = row, group  # holding row keeps its id from being reused
+            if type(row) is MappingProxyType:
+                read_only[id(row)] = seen
+        group_of_row.append(seen[1])
     return designs, group_of_row
 
 
@@ -182,7 +235,7 @@ class SurvivalModel:
     baseline: Dict[str, float]
     coefficients: Tuple[float, ...]
     schema: CovariateSchema = field(default_factory=CovariateSchema)
-    training_rows: Optional[Tuple[Mapping, ...]] = None
+    training_rows: Optional[Sequence[Mapping]] = None
 
     @property
     def location_param(self):
@@ -335,7 +388,7 @@ def model_from_dict(doc: dict) -> SurvivalModel:
         baseline={k: float(v) for k, v in baseline.items()},
         coefficients=tuple(float(c) for c in coefficients),
         schema=schema,
-        training_rows=tuple(_shared_rows(rows)) if rows is not None else None,
+        training_rows=TrainingRows(_shared_rows(rows)) if rows is not None else None,
     )
 
 

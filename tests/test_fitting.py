@@ -481,6 +481,210 @@ class TestLocationScore:
         assert sum(per_pass) == len(passes)
 
 
+def _moved(tag, params, d_ln_s=0.0, d_ln_sigma=0.0):
+    """The distribution ``params`` give with ln s moved by ``d_ln_s`` (s
+    being scale, exp(mu), exp(meanlog) or 1/rate) and ln sigma of a
+    log-location-scale family by ``d_ln_sigma``."""
+    params = dict(params)
+    location, link = LOCATION_PARAMS[tag]
+    if link == "log":
+        params[location] *= math.exp(-d_ln_s if location == "rate" else d_ln_s)
+    else:
+        params[location] += d_ln_s
+    if d_ln_sigma:
+        name = _LOG_SCALE[tag]  # sigma is 1/shape, sdlog or sigma
+        params[name] *= math.exp(-d_ln_sigma if name == "shape" else d_ln_sigma)
+    return make_distribution(tag, params)
+
+
+def _row_scores(d, t, event):
+    """(s, c): one row's location score and its curvature."""
+    _, sums = d.ln_group_scores((t,), (math.log(t),), (event,))
+    return sums[0], sums[3]
+
+
+def _row_times(d):
+    return [d.isf(p) for p in (0.95, 0.7, 0.4, 0.1, 0.02)]
+
+
+class TestLocationCurvature:
+    @pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
+    def test_matches_central_differences_of_the_score(self, monkeypatch,
+                                                      kernel_modules, tag):
+        # c = ds/d ln s for event and censored rows
+        rng = np.random.default_rng(DISTRIBUTION_TAGS.index(tag) + 151)
+        draws = [sample_params(tag, rng) for _ in range(5)]
+        h = 1e-5
+        for kernels in kernel_modules:
+            monkeypatch.setattr(distributions, "sf", kernels)
+            for params in draws:
+                d = make_distribution(tag, params)
+                up, down = _moved(tag, params, h), _moved(tag, params, -h)
+                for t in _row_times(d):
+                    for event in (1.0, 0.0):
+                        expected = (_row_scores(up, t, event)[0]
+                                    - _row_scores(down, t, event)[0]) / (2.0 * h)
+                        assert _row_scores(d, t, event)[1] == pytest.approx(
+                            expected, rel=1e-6), (kernels.__name__, params, t, event)
+
+    @pytest.mark.parametrize("tag", list(_LOG_SCALE))
+    def test_ln_sigma_identities(self, monkeypatch, kernel_modules, tag):
+        # with v = ln t - eta, the row's second partials along ln sigma:
+        # d s/d ln sigma = v c - s, and d (v s - event)/d ln sigma = v (v c - s)
+        rng = np.random.default_rng(DISTRIBUTION_TAGS.index(tag) + 161)
+        draws = [sample_params(tag, rng) for _ in range(5)]
+        h = 1e-5
+        location, link = LOCATION_PARAMS[tag]
+        for kernels in kernel_modules:
+            monkeypatch.setattr(distributions, "sf", kernels)
+            for params in draws:
+                d = make_distribution(tag, params)
+                eta = math.log(params[location]) if link == "log" else params[location]
+                up, down = (_moved(tag, params, d_ln_sigma=h),
+                            _moved(tag, params, d_ln_sigma=-h))
+                for t in _row_times(d):
+                    v = math.log(t) - eta
+                    for event in (1.0, 0.0):
+                        s, c = _row_scores(d, t, event)
+                        s_up, s_down = (_row_scores(up, t, event)[0],
+                                        _row_scores(down, t, event)[0])
+                        assert v * c - s == pytest.approx(
+                            (s_up - s_down) / (2.0 * h), rel=1e-6), (
+                            kernels.__name__, params, t, event)
+                        assert v * (v * c - s) == pytest.approx(
+                            ((v * s_up - event) - (v * s_down - event)) / (2.0 * h),
+                            rel=1e-6), (kernels.__name__, params, t, event)
+
+
+def _reference_hessian(score, theta, f0, analytic, closed):
+    """The Hessian of the objective as it was taken before closed forms:
+    central differences of the analytic partials, with h = 1e-4 (1 + |x|),
+    and central second differences of the objective along the other
+    coordinates.  The entries among ``closed``, which the fit takes in
+    closed form, are Richardson-extrapolated from h and h/2 instead: their
+    plain differences are ~1e-7 off, and an ill-conditioned Hessian (a
+    gengamma.orig fit's is ~1e6) would multiply that past the tolerance.
+    An entry between a closed coordinate and another takes the difference
+    along the other, as the fit does."""
+    k = len(theta)
+
+    def column(j, h):  # the analytic partials differenced along j
+        up, down = list(theta), list(theta)
+        up[j] += h
+        down[j] -= h
+        g_up, g_down = score(up)[1], score(down)[1]
+        return {i: (u - d) / (2.0 * h) for i, u, d in zip(analytic, g_up, g_down)}
+
+    def value(*moves):
+        point = list(theta)
+        for i, step in moves:
+            point[i] += step
+        return score(point)[0]
+
+    steps = [1e-4 * (1.0 + abs(v)) for v in theta]
+    hess = np.zeros((k, k))
+    for j in range(k):
+        h = steps[j]
+        plain = column(j, h)
+        if j in closed:
+            fine = column(j, h / 2.0)
+            for i in closed:
+                hess[i, j] = (4.0 * fine[i] - plain[i]) / 3.0
+            continue
+        for i in analytic:
+            hess[i, j] = hess[j, i] = plain[i]
+        if j not in analytic:
+            hess[j, j] = (value((j, h)) - 2.0 * f0 + value((j, -h))) / h ** 2
+            for i in range(j):
+                if i not in analytic and i not in closed:
+                    hi = steps[i]
+                    hess[i, j] = hess[j, i] = (
+                        value((j, h), (i, hi)) - value((j, h), (i, -hi))
+                        - value((j, -h), (i, hi)) + value((j, -h), (i, -hi))
+                    ) / (4.0 * h * hi)
+    return 0.5 * (hess + hess.T)
+
+
+class TestHessianPasses:
+    @pytest.mark.parametrize("design", ["factor", "numeric"])
+    @pytest.mark.parametrize("tag", DISTRIBUTION_TAGS)
+    def test_standard_errors_match_central_differences(self, monkeypatch, tag,
+                                                       design):
+        # at the parameters the sample is drawn from, where the Hessian is
+        # that of a well-posed problem: a generalized F search stops where
+        # P -> 0 or s1 -> inf, with condition numbers past 1e8, and there no
+        # two ways of taking the Hessian agree to 1e-6.  Where the Hessian
+        # at the truth is not positive definite (the gengamma.orig and
+        # genf.orig samples here), every standard error is NaN
+        seed = DISTRIBUTION_TAGS.index(tag) + 171
+        sample = _covariate_sample(tag, seed, numeric=design == "numeric", n=400)
+        params = sample_params(tag, np.random.default_rng(seed))
+        names = PARAM_NAMES[tag]
+        location, link = LOCATION_PARAMS[tag]
+        theta = [math.log(params[name]) if name in POSITIVE_PARAMS[tag]
+                 else params[name] for name in names]
+        loc_index = names.index(location)
+        if design == "factor":  # levels a, b, c shift eta by -0.3, 0, 0.3
+            theta[loc_index] -= 0.3
+            theta += [0.3, 0.6]
+        else:
+            theta += [0.3]
+        hessian, seen = fitting._hessian_std_errors, {}
+
+        def at_truth(score, x0, **options):
+            return fitting.MinimizeResult(x=list(theta), fun=score(theta)[0],
+                                          nit=0, nfev=1, success=True)
+
+        def standard_errors(score, theta, f0, **options):
+            seen.update(options, score=score, f0=f0)
+            seen["se"] = hessian(score, theta, f0, **options)
+            return seen["se"]
+
+        monkeypatch.setattr(fitting, "minimize", at_truth)
+        monkeypatch.setattr(fitting, "_hessian_std_errors", standard_errors)
+        result, _ = fit(tag, sample, _DESIGNS[design])
+        # the intercept, ln sigma and the betas take closed forms, from the
+        # sums of the pass at theta: the Hessian takes no extra one there
+        closed = {loc_index} | set(range(len(names), len(theta)))
+        if tag in _LOG_SCALE:
+            closed.add(names.index(_LOG_SCALE[tag]))
+        shapes = len(theta) - len(closed)
+        assert result.evaluations == 1 + 2 * shapes + 4 * (shapes * (shapes - 1) // 2)
+        seen["score"](theta)  # the latest pass, whose sums it reads
+        known = seen["curvature"](theta)
+        assert set(known) == {(i, j) for i in closed for j in closed}
+        hess = _reference_hessian(seen["score"], theta, seen["f0"],
+                                  seen["analytic"], closed)
+        for (i, j), value in known.items():
+            assert value == pytest.approx(hess[i, j], rel=1e-6), (i, j)
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            assert all(math.isnan(se) for se in seen["se"])
+        else:
+            expected = np.sqrt(np.diag(np.linalg.inv(hess)))
+            assert np.max(np.abs(np.asarray(seen["se"]) / expected - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("tag, shapes", [
+        ("exponential", 0), ("weibull", 0), ("lnorm", 0), ("llogis", 0),
+        ("gamma", 1), ("gengamma.orig", 1), ("gengamma", 1)])
+    def test_only_shape_coordinates_take_passes(self, monkeypatch, tag, shapes):
+        # evaluations counts the passes of the search and the Hessian: at
+        # most one at the optimum for the curvature sums, and two per shape
+        # coordinate
+        uncapped, seen = fitting.minimize, {}
+
+        def search(score, x0, **options):
+            seen["result"] = uncapped(score, x0, **options)
+            return seen["result"]
+
+        monkeypatch.setattr(fitting, "minimize", search)
+        sample = _covariate_sample(tag, DISTRIBUTION_TAGS.index(tag) + 181, n=400)
+        result, _ = fit(tag, sample, ["group"])
+        assert result.converged
+        assert result.evaluations - seen["result"].nfev <= 1 + 2 * shapes
+
+
 def _check_every_pass_sums_the_scores(monkeypatch, tag, seed):
     """Fit ``tag`` with a factor and check that neither the optimizer nor
     the Hessian takes central differences of the objective: every
@@ -647,13 +851,30 @@ class TestHessianStdErrors:
     def test_rows_from_partials_match_the_inverse(self, analytic):
         _check_standard_errors_of_a_quadratic(analytic)
 
+    @pytest.mark.parametrize("closed, analytic, calls", [
+        ((0, 3), (0, 1, 3), 2 + 2 + 2 + 4),  # 1 analytic, 2 and 4 not
+        ((0, 3), (0, 1, 2, 3, 4), 2 * 3),
+        (tuple(range(5)), tuple(range(5)), 0),
+    ])
+    @pytest.mark.parametrize("latest_at_theta", [True, False])
+    def test_closed_form_entries_take_no_calls(self, closed, analytic, calls,
+                                               latest_at_theta):
+        # a pass at theta first where the curvature needs one
+        count = _check_standard_errors_of_a_quadratic(analytic, closed,
+                                                      latest_at_theta)
+        assert count == calls + (not latest_at_theta)
 
-def _check_standard_errors_of_a_quadratic(analytic):
+
+def _check_standard_errors_of_a_quadratic(analytic, closed=(), latest_at_theta=True):
     """_hessian_std_errors of 0.5 x'Hx at 0, with the rows ``analytic`` of
-    H from the exact gradient Hx, against sqrt(diag(H^-1))."""
+    H from the exact gradient Hx and the entries among ``closed`` from a
+    curvature callable, against sqrt(diag(H^-1)).  Returns the number of
+    score calls; the curvature has its entries only once a call scored 0
+    unless ``latest_at_theta``."""
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5))
     hess = a @ a.T + 0.5 * np.eye(5)
+    points = []
 
     def quadratic(x):
         # minimum 0 at the origin: steps from 0 are exact and no large
@@ -662,11 +883,19 @@ def _check_standard_errors_of_a_quadratic(analytic):
         return float(0.5 * x @ hess @ x)
 
     def score(x):
+        points.append(list(x))
         return quadratic(x), list((hess @ np.asarray(x))[list(analytic)])
 
-    se = fitting._hessian_std_errors(score, [0.0] * 5, 0.0, analytic)
+    def curvature(theta):
+        if not (latest_at_theta or points and points[-1] == theta):
+            return None
+        return {(i, j): hess[i, j] for i in closed for j in closed}
+
+    se = fitting._hessian_std_errors(score, [0.0] * 5, 0.0, analytic,
+                                     curvature=curvature if closed else None)
     expected = np.sqrt(np.diag(np.linalg.inv(hess)))
     assert np.max(np.abs(np.asarray(se) / expected - 1.0)) <= 1e-12
+    return len(points)
 
 
 def test_oracle_without_scipy_names_the_extra(monkeypatch):

@@ -12,8 +12,8 @@ from mrlife import (CensoredSample, Covariate, CovariateSchema, DataError,
                     load_model, make_distribution, mean_residual_life,
                     percentile_residual_life, predict_residual_life,
                     save_model)
-from mrlife.regression import (distinct_design_rows, model_from_dict,
-                               model_to_dict, rows_of)
+from mrlife.regression import (TrainingRows, distinct_design_rows,
+                               model_from_dict, model_to_dict, rows_of)
 
 GROUP = Covariate(name="group", kind="categorical",
                   levels=("Good", "Medium", "Poor"))
@@ -72,6 +72,25 @@ class TestDesignRows:
         rows.append({"age": 43})  # a seen pattern's values, a column short
         with pytest.raises(MissingColumnError):
             distinct_design_rows(SCHEMA, rows)
+
+    def test_distinct_design_rows_encodes_each_shared_row_once(self, monkeypatch):
+        calls = []
+        encode = CovariateSchema.design_row
+        monkeypatch.setattr(CovariateSchema, "design_row",
+                            lambda schema, row: calls.append(row) or encode(schema, row))
+        ages, groups = [43, 35, 43, 52] * 50, ["Medium", "Good", "Medium", "Poor"] * 50
+        rows = rows_of({"age": ages, "group": groups}, ["age", "group"], 200)
+        designs, group_of_row = distinct_design_rows(SCHEMA, rows)
+        assert len(calls) == len(designs) == 3
+        assert group_of_row == [0, 1, 0, 2] * 50
+        # plain mappings may change between rows: each is encoded
+        calls.clear()
+        plain = [dict(row) for row in rows]
+        assert distinct_design_rows(SCHEMA, plain) == (designs, group_of_row)
+        assert len(calls) == 200
+        bad = rows_of({"age": [43, 43], "group": ["Medium", "Fair"]}, ["age", "group"], 2)
+        with pytest.raises(UnknownLevelError):
+            distinct_design_rows(SCHEMA, bad * 3)
 
     def test_rows_of_names_a_missing_column(self):
         with pytest.raises(ValueError, match="'group' not in sample"):
@@ -252,6 +271,17 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded == model
         assert len({id(row) for row in loaded.training_rows}) == 3
+
+    def test_training_rows_take_one_code_per_row(self):
+        rows = rows_of({"group": ["Good", "Poor", "Medium"] * 100}, ["group"], 300)
+        stored = TrainingRows(rows)
+        assert len(stored) == 300 and list(stored) == rows
+        assert stored == tuple(rows) and tuple(rows) == stored and stored != rows[:-1]
+        assert stored[1] is rows[1] and stored[-1] is rows[-1]
+        assert stored[3:5] == (rows[3], rows[4])
+        assert stored._codes.itemsize == 1  # one byte a row for 3 patterns
+        wide = rows_of({"age": list(range(300))}, ["age"], 300)
+        assert TrainingRows(wide)._codes.itemsize == 2 and TrainingRows(wide) == wide
 
     def test_training_rows_must_be_objects(self):
         doc = model_to_dict(weibull_model())
